@@ -7,17 +7,17 @@
 //!
 //! Two implementations ship:
 //!
-//! - [`ScalarExecutor`] — today's one-op-at-a-time loop, kept as the
-//!   conformance oracle. Deliberately free of telemetry so oracle runs
-//!   measure the arithmetic, not the instrumentation.
+//! - [`ScalarExecutor`] — the one-op-at-a-time loop, kept as the
+//!   conformance oracle and the executor behind
+//!   `ResilientPipeline::run`. Deliberately free of telemetry so oracle
+//!   runs measure the arithmetic, not the instrumentation.
 //! - [`SlicedExecutor`] — the transposed engine: chunks the batch into
-//!   64-lane blocks, transposes, runs the word-wide ACA, untransposes.
-//!   Optionally fans blocks out across a [`WorkerPool`]. Records
+//!   64-lane blocks and, one block after another on the calling thread,
+//!   transposes, runs the word-wide ACA, and untransposes. Records
 //!   `vlsa.batch.*` phase counters and the lane-occupancy histogram
 //!   when telemetry is enabled.
 
 use crate::engine::run_block;
-use crate::pool::WorkerPool;
 use crate::transpose::{transpose_block, untranspose_block, LANES};
 use std::str::FromStr;
 use std::sync::Arc;
@@ -101,7 +101,7 @@ pub trait BatchExecutor: Send + Sync + std::fmt::Debug {
     fn execute(&self, ops: &[(u64, u64)]) -> Vec<OpVerdict>;
 }
 
-/// Builds the executor for `backend` (no pool attached).
+/// Builds the executor for `backend`.
 pub fn executor_for(backend: Backend, nbits: usize, window: usize) -> Arc<dyn BatchExecutor> {
     match backend {
         Backend::Scalar => Arc::new(ScalarExecutor::new(nbits, window)),
@@ -175,7 +175,6 @@ impl BatchExecutor for ScalarExecutor {
 pub struct SlicedExecutor {
     nbits: usize,
     window: usize,
-    pool: Option<Arc<WorkerPool>>,
 }
 
 impl SlicedExecutor {
@@ -184,72 +183,26 @@ impl SlicedExecutor {
     pub fn new(nbits: usize, window: usize) -> SlicedExecutor {
         assert!((1..=64).contains(&nbits), "nbits={nbits}");
         assert!(window >= 1, "window={window}");
-        SlicedExecutor {
-            nbits,
-            window,
-            pool: None,
-        }
+        SlicedExecutor { nbits, window }
     }
 
-    /// Attaches a work-stealing pool; batches large enough to fill
-    /// several blocks are then split across its workers.
-    pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> SlicedExecutor {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// Executes the ops of one ≤64-lane block, timing each phase.
-    ///
-    /// Returns `(verdicts, transpose_ns, compute_ns, untranspose_ns)`
-    /// so callers (including pool workers on other threads) can
-    /// aggregate phase costs without touching telemetry themselves.
-    pub(crate) fn run_chunk(
-        nbits: usize,
-        window: usize,
-        ops: &[(u64, u64)],
-    ) -> (Vec<OpVerdict>, u64, u64, u64) {
-        debug_assert!(!ops.is_empty() && ops.len() <= LANES);
-        let mask = width_mask(nbits);
-        let masked: Vec<(u64, u64)> = ops.iter().map(|&(a, b)| (a & mask, b & mask)).collect();
-
-        let t0 = Instant::now();
-        let (ta, tb) = transpose_block(&masked);
-        let t1 = Instant::now();
-        let block = run_block(&ta, &tb, nbits, window);
-        let t2 = Instant::now();
-        let spec = untranspose_block(&block.spec_sum, masked.len());
-        let exact = untranspose_block(&block.exact_sum, masked.len());
-        let verdicts = (0..masked.len())
-            .map(|lane| OpVerdict {
-                spec: spec[lane],
-                exact: exact[lane],
-                er: block.er >> lane & 1 == 1,
-                spec_cout: block.spec_cout >> lane & 1 == 1,
-                exact_cout: block.exact_cout >> lane & 1 == 1,
-            })
-            .collect();
-        let t3 = Instant::now();
-        (
-            verdicts,
-            t1.duration_since(t0).as_nanos() as u64,
-            t2.duration_since(t1).as_nanos() as u64,
-            t3.duration_since(t2).as_nanos() as u64,
-        )
-    }
-
-    fn record(&self, ops: usize, blocks: &[usize], phase_ns: (u64, u64, u64)) {
+    /// Records the batch's op and block counts, the per-phase
+    /// `[transpose, compute, untranspose]` nanoseconds, and one lane
+    /// occupancy sample per block.
+    fn record(ops: &[(u64, u64)], phase_ns: [u64; 3]) {
         if !vlsa_telemetry::is_enabled() {
             return;
         }
         let rec = vlsa_telemetry::recorder();
-        rec.counter(metric::OPS).add(ops as u64);
-        rec.counter(metric::BLOCKS).add(blocks.len() as u64);
-        rec.counter(metric::TRANSPOSE_NS).add(phase_ns.0);
-        rec.counter(metric::COMPUTE_NS).add(phase_ns.1);
-        rec.counter(metric::UNTRANSPOSE_NS).add(phase_ns.2);
+        rec.counter(metric::OPS).add(ops.len() as u64);
+        rec.counter(metric::BLOCKS)
+            .add(ops.len().div_ceil(LANES) as u64);
+        rec.counter(metric::TRANSPOSE_NS).add(phase_ns[0]);
+        rec.counter(metric::COMPUTE_NS).add(phase_ns[1]);
+        rec.counter(metric::UNTRANSPOSE_NS).add(phase_ns[2]);
         let occupancy = rec.histogram(metric::LANE_OCCUPANCY, DEFAULT_BUCKETS);
-        for &lanes in blocks {
-            occupancy.record(lanes as u64);
+        for block in ops.chunks(LANES) {
+            occupancy.record(block.len() as u64);
         }
     }
 }
@@ -271,31 +224,32 @@ impl BatchExecutor for SlicedExecutor {
         if ops.is_empty() {
             return Vec::new();
         }
-        let occupancies: Vec<usize> = ops.chunks(LANES).map(<[_]>::len).collect();
-        // A pool only pays off once there are enough blocks to split;
-        // small flushes run inline on the shard worker.
-        let verdicts;
-        let mut phase_ns = (0u64, 0u64, 0u64);
-        match &self.pool {
-            Some(pool) if occupancies.len() >= 2 => {
-                let (v, ns) = pool.execute(self.nbits, self.window, ops);
-                verdicts = v;
-                phase_ns = ns;
-            }
-            _ => {
-                let mut out = Vec::with_capacity(ops.len());
-                for chunk in ops.chunks(LANES) {
-                    let (v, t_ns, c_ns, u_ns) =
-                        SlicedExecutor::run_chunk(self.nbits, self.window, chunk);
-                    out.extend(v);
-                    phase_ns.0 += t_ns;
-                    phase_ns.1 += c_ns;
-                    phase_ns.2 += u_ns;
-                }
-                verdicts = out;
-            }
+        let mask = width_mask(self.nbits);
+        let mut verdicts = Vec::with_capacity(ops.len());
+        let mut phase_ns = [0u64; 3];
+        for chunk in ops.chunks(LANES) {
+            let masked: Vec<(u64, u64)> =
+                chunk.iter().map(|&(a, b)| (a & mask, b & mask)).collect();
+            let t0 = Instant::now();
+            let (ta, tb) = transpose_block(&masked);
+            let t1 = Instant::now();
+            let block = run_block(&ta, &tb, self.nbits, self.window);
+            let t2 = Instant::now();
+            let spec = untranspose_block(&block.spec_sum, masked.len());
+            let exact = untranspose_block(&block.exact_sum, masked.len());
+            verdicts.extend((0..masked.len()).map(|lane| OpVerdict {
+                spec: spec[lane],
+                exact: exact[lane],
+                er: block.er >> lane & 1 == 1,
+                spec_cout: block.spec_cout >> lane & 1 == 1,
+                exact_cout: block.exact_cout >> lane & 1 == 1,
+            }));
+            let t3 = Instant::now();
+            phase_ns[0] += t1.duration_since(t0).as_nanos() as u64;
+            phase_ns[1] += t2.duration_since(t1).as_nanos() as u64;
+            phase_ns[2] += t3.duration_since(t2).as_nanos() as u64;
         }
-        self.record(ops.len(), &occupancies, phase_ns);
+        SlicedExecutor::record(ops, phase_ns);
         verdicts
     }
 }

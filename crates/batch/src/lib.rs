@@ -19,23 +19,22 @@
 //!   carries, ER lane mask, and the exact carry prefix-sum.
 //! - [`executor`] — the pluggable [`BatchExecutor`] boundary with the
 //!   [`ScalarExecutor`] conformance oracle and the [`SlicedExecutor`]
-//!   transposed implementation (plus the [`Backend`] flag enum).
-//! - [`pool`] — a std-only work-stealing [`WorkerPool`] that splits
-//!   multi-block batches across shard-local worker threads.
+//!   transposed implementation (plus the [`Backend`] flag enum). Both
+//!   run on the caller's thread: a server's shards are its unit of
+//!   parallelism.
 //!
 //! Every executor is bit-identical to the scalar oracle — same sums,
-//! same ER mask, same carry-outs — which the conformance tests in
+//! same ER mask, same carry-outs — and the scalar oracle agrees with
+//! `vlsa_core::SpeculativeAdder`, which the conformance tests in
 //! `tests/conformance.rs` enforce exhaustively at small widths and by
 //! proptest at {8, 16, 32, 64} bits.
 
 pub mod engine;
 pub mod executor;
-pub mod pool;
 pub mod transpose;
 
 pub use engine::{run_block, BlockVerdict, MAX_NBITS};
 pub use executor::{
     executor_for, Backend, BatchExecutor, OpVerdict, ScalarExecutor, SlicedExecutor,
 };
-pub use pool::WorkerPool;
 pub use transpose::{transpose64, transpose_block, untranspose_block, LANES};

@@ -1,7 +1,8 @@
 //! Conformance: the sliced engine is bit-identical to the scalar
-//! oracle, and the transpose round-trips losslessly.
+//! oracle, the scalar oracle agrees with `vlsa-core`'s
+//! `SpeculativeAdder`, and the transpose round-trips losslessly.
 //!
-//! Three layers of evidence, per the issue's acceptance criteria:
+//! Four layers of evidence:
 //!
 //! 1. **Transpose round-trip (proptest)** — arbitrary operand blocks
 //!    of 1..=64 lanes, including ragged final blocks, survive
@@ -11,14 +12,19 @@
 //!    (ER mask included), so there is no corner left to sample.
 //! 3. **Proptest at production widths** — widths {8, 16, 32, 64} ×
 //!    k ∈ {2, 4, 8}: sums, ER mask, carry-outs, and the per-batch
-//!    stall count all match the scalar oracle, pooled or not.
+//!    stall count all match the scalar oracle.
+//! 4. **An independent reference for the oracle** — exhaustively at
+//!    n ≤ 6 and by proptest at production widths, every
+//!    `ScalarExecutor` verdict equals `SpeculativeAdder::add_u64_with_cout`
+//!    (speculative sum, ER, speculative carry-out) plus
+//!    `SpeculativeAdder::exact_u64` (exact sum and carry-out).
 
 use proptest::prelude::*;
-use std::sync::Arc;
 use vlsa_batch::{
     transpose_block, untranspose_block, BatchExecutor, OpVerdict, ScalarExecutor, SlicedExecutor,
-    WorkerPool, LANES,
+    LANES,
 };
+use vlsa_core::SpeculativeAdder;
 
 fn width_mask(nbits: usize) -> u64 {
     if nbits == 64 {
@@ -44,6 +50,35 @@ fn assert_bit_identical(ops: &[(u64, u64)], nbits: usize, window: usize) {
     let want_stalls = oracle.iter().filter(|v| v.er).count();
     let got_stalls = sliced.iter().filter(|v| v.er).count();
     assert_eq!(want_stalls, got_stalls, "stall counts diverged");
+}
+
+/// Every `ScalarExecutor` verdict equals what `SpeculativeAdder`
+/// computes for the same pair, field for field.
+fn assert_oracle_matches_core(ops: &[(u64, u64)], nbits: usize, window: usize) {
+    let adder = SpeculativeAdder::new(nbits, window).expect("valid adder");
+    let verdicts = ScalarExecutor::new(nbits, window).execute(ops);
+    assert_eq!(verdicts.len(), ops.len());
+    for (&(a, b), got) in ops.iter().zip(&verdicts) {
+        let (spec, spec_cout) = adder.add_u64_with_cout(a, b);
+        let (exact, exact_cout) = adder.exact_u64(a, b);
+        let want = OpVerdict {
+            spec: spec.speculative,
+            exact,
+            er: spec.error_detected,
+            spec_cout,
+            exact_cout,
+        };
+        assert_eq!(
+            *got, want,
+            "nbits={nbits} window={window} a={a:#x} b={b:#x}"
+        );
+    }
+}
+
+/// Every operand pair at width `nbits`.
+fn all_pairs(nbits: usize) -> Vec<(u64, u64)> {
+    let m = width_mask(nbits);
+    (0..=m).flat_map(|a| (0..=m).map(move |b| (a, b))).collect()
 }
 
 proptest! {
@@ -96,6 +131,15 @@ proptest! {
         }
         assert_bit_identical(&ops, nbits, window);
     }
+
+    #[test]
+    fn oracle_matches_the_core_adder_at_production_widths(
+        raw in proptest::collection::vec(any::<(u64, u64)>(), 1..=200),
+        nbits in proptest::sample::select(&[8usize, 16, 32, 64]),
+        window in proptest::sample::select(&[2usize, 4, 8]),
+    ) {
+        assert_oracle_matches_core(&raw, nbits, window);
+    }
 }
 
 #[test]
@@ -104,14 +148,8 @@ fn exhaustive_small_widths_every_window() {
     // to n = 6 and cover n = 7, 8 on a dense lattice plus every
     // single-operand boundary value.
     for nbits in 1..=6usize {
-        let m = width_mask(nbits);
+        let ops = all_pairs(nbits);
         for window in 1..=nbits {
-            let mut ops = Vec::with_capacity(((m + 1) * (m + 1)) as usize);
-            for a in 0..=m {
-                for b in 0..=m {
-                    ops.push((a, b));
-                }
-            }
             assert_bit_identical(&ops, nbits, window);
         }
     }
@@ -130,19 +168,11 @@ fn exhaustive_small_widths_every_window() {
 }
 
 #[test]
-fn pooled_execution_is_bit_identical_too() {
-    let pool = Arc::new(WorkerPool::new(3));
-    let mut ops = Vec::new();
-    let mut x = 0xACAB_1234_5678_9ABCu64;
-    for i in 0..5000u64 {
-        x = x.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(i);
-        ops.push((x, x.rotate_left(i as u32 % 64)));
-    }
-    for &(nbits, window) in &[(64usize, 8usize), (32, 4), (16, 2)] {
-        let oracle = ScalarExecutor::new(nbits, window).execute(&ops);
-        let pooled = SlicedExecutor::new(nbits, window)
-            .with_pool(Arc::clone(&pool))
-            .execute(&ops);
-        assert_eq!(oracle, pooled, "nbits={nbits} window={window}");
+fn exhaustive_small_widths_oracle_matches_the_core_adder() {
+    for nbits in 1..=6usize {
+        let ops = all_pairs(nbits);
+        for window in 1..=nbits {
+            assert_oracle_matches_core(&ops, nbits, window);
+        }
     }
 }

@@ -3,27 +3,20 @@
 //! same operand stream, at the widths and windows the conformance
 //! suite proves bit-identical.
 //!
-//! Two sections:
-//!
-//! - **Executor rows** — single-threaded `ScalarExecutor` vs
-//!   `SlicedExecutor` across `(nbits, window)` points. The `speedup`
-//!   column is what the `--gate` flag checks: this is the per-shard
-//!   win a `--backend sliced` server inherits.
-//! - **Pool rows** — the sliced executor alone vs backed by a
-//!   work-stealing pool at growing worker counts, on a batch large
-//!   enough to split. Reported, never gated: worker scaling depends on
-//!   the host's cores, while the transpose win does not.
+//! Each row compares single-threaded `ScalarExecutor` and
+//! `SlicedExecutor` at one `(nbits, window)` point. The `speedup`
+//! column is what the `--gate` flag checks: this is the per-shard win
+//! a `--backend sliced` server inherits.
 //!
 //! Methodology: per measurement the batch is executed once warm, then
 //! `repeats` timed runs keep the *best* wall time — the run least
 //! disturbed by the scheduler — and throughput is `ops / best`.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use vlsa_batch::{BatchExecutor, ScalarExecutor, SlicedExecutor, WorkerPool};
+use vlsa_batch::{BatchExecutor, ScalarExecutor, SlicedExecutor};
 use vlsa_pipeline::random_operands;
 use vlsa_telemetry::Json;
 
@@ -104,21 +97,6 @@ fn run_exec_point(point: ExecPoint, ops: &[(u64, u64)], repeats: usize) -> Json 
         .set("speedup", sliced_ops_s / scalar_ops_s.max(1e-12))
 }
 
-/// Runs one pool row: the sliced executor backed by `workers` workers
-/// versus its own single-threaded time on the same batch.
-fn run_pool_point(workers: usize, ops: &[(u64, u64)], repeats: usize) -> Json {
-    let alone = SlicedExecutor::new(64, 8);
-    let pooled = SlicedExecutor::new(64, 8).with_pool(Arc::new(WorkerPool::new(workers)));
-    let alone_ops_s = ops_per_sec(&alone, ops, repeats);
-    let pooled_ops_s = ops_per_sec(&pooled, ops, repeats);
-    Json::obj()
-        .set("workers", workers as u64)
-        .set("ops", ops.len() as u64)
-        .set("alone_ops_s", alone_ops_s)
-        .set("pooled_ops_s", pooled_ops_s)
-        .set("scaling", pooled_ops_s / alone_ops_s.max(1e-12))
-}
-
 /// Runs the whole benchmark and assembles the `BENCH_batch.json`
 /// report. `batch_ops`/`repeats` shrink for tests; the committed
 /// report uses [`BATCH_OPS`]/[`REPEATS`].
@@ -126,8 +104,6 @@ pub fn run_batch_bench(batch_ops: usize, repeats: usize) -> Report {
     let mut report = Report::new("batch");
     report.set("batch_ops", batch_ops as u64);
     report.set("repeats", repeats as u64);
-    // Pool rows only scale past 1.0 when the host has cores to give;
-    // committed on a 1-core host they document overhead, not a defect.
     report.set(
         "cores",
         std::thread::available_parallelism().map_or(0, |n| n.get() as u64),
@@ -152,28 +128,6 @@ pub fn run_batch_bench(batch_ops: usize, repeats: usize) -> Report {
         );
         report.push_row(row);
     }
-
-    // Pool scaling on a batch large enough to split across workers.
-    let mut rng = StdRng::seed_from_u64(0x5EED_BA7C);
-    let big = random_operands(64, batch_ops * 4, &mut rng);
-    let mut pool_rows = Vec::new();
-    println!(
-        "{:>7} | {:>14} {:>14} | {:>8}",
-        "workers", "alone ops/s", "pooled ops/s", "scaling"
-    );
-    for workers in [1usize, 2, 4] {
-        let row = run_pool_point(workers, &big, repeats);
-        let f = |k: &str| row.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-        println!(
-            "{:>7} | {:>14.0} {:>14.0} | {:>7.2}x",
-            workers,
-            f("alone_ops_s"),
-            f("pooled_ops_s"),
-            f("scaling"),
-        );
-        pool_rows.push(row);
-    }
-    report.set("pool", Json::Arr(pool_rows));
     report
 }
 
@@ -224,7 +178,5 @@ mod tests {
             assert!((speedup - sliced / scalar).abs() < 1e-9);
         }
         assert!(min_speedup(&report).is_finite());
-        let pool = doc.get("pool").and_then(Json::as_arr).expect("pool rows");
-        assert_eq!(pool.len(), 3);
     }
 }

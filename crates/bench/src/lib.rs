@@ -164,6 +164,16 @@ pub fn col(value: impl std::fmt::Display, width: usize) -> String {
     format!("{value:>width$}")
 }
 
+/// Serializes the crate's tests that install a process-global
+/// `ScopedRecorder` or `ScopedTrace`. One lock for every module, so a
+/// test in one module never swaps the recorder out from under another.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

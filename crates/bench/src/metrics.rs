@@ -16,6 +16,7 @@ use vlsa_pipeline::{
     VlsaPipeline,
 };
 use vlsa_sim::{check_adder, random_pairs};
+use vlsa_telemetry::names::core as core_metric;
 use vlsa_telemetry::{Json, Registry, ScopedRecorder, DEFAULT_BUCKETS};
 
 /// Everything a `pipeline_report` run produces beyond the report
@@ -132,18 +133,18 @@ pub fn pipeline_metrics_run(ops: usize, queue_cycles: u64, seed: u64) -> Pipelin
         .set("nbits", 64u64)
         .set("window", window as u64)
         .set("ops", trace.operations)
-        .set("adds", registry.counter_value("vlsa.core.adds"))
+        .set("adds", registry.counter_value(core_metric::ADDS))
         .set(
             "detector_fires",
-            registry.counter_value("vlsa.core.detector_fires"),
+            registry.counter_value(core_metric::DETECTOR_FIRES),
         )
         .set(
             "true_errors",
-            registry.counter_value("vlsa.core.true_errors"),
+            registry.counter_value(core_metric::TRUE_ERRORS),
         )
         .set(
             "false_positives",
-            registry.counter_value("vlsa.core.false_positives"),
+            registry.counter_value(core_metric::FALSE_POSITIVES),
         )
         .set("average_latency_cycles", trace.average_latency())
         .set(
@@ -231,21 +232,12 @@ pub const PIPELINE_REPORT_FIELDS: &[&str] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
+    use crate::test_lock;
     use vlsa_telemetry::Json;
-
-    /// Builders install scoped recorders (process-global): serialize.
-    static SERIAL: Mutex<()> = Mutex::new(());
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        SERIAL
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
 
     #[test]
     fn pipeline_report_round_trips_with_required_fields() {
-        let _guard = serial();
+        let _guard = test_lock();
         let report = pipeline_report(20_000, 5_000, 64);
         let text = report.to_json().to_string();
         let parsed = Json::parse(&text).expect("valid JSON");
@@ -333,7 +325,7 @@ mod tests {
         assert!(parsed
             .get("metrics")
             .and_then(|m| m.get("counters"))
-            .and_then(|c| c.get("vlsa.core.adds"))
+            .and_then(|c| c.get(core_metric::ADDS))
             .is_some());
         // The resilience segment actually exercised its machinery: the
         // suppressed detector forces escalations, the degradation latch
@@ -370,7 +362,7 @@ mod tests {
 
     #[test]
     fn sim_report_round_trips_with_profile() {
-        let _guard = serial();
+        let _guard = test_lock();
         let report = sim_report(32, 130, 7);
         let text = report.to_json().to_string();
         let parsed = Json::parse(&text).expect("valid JSON");

@@ -1,6 +1,6 @@
 //! Telemetry hooks for the software adder model.
 //!
-//! Metric names (scheme `vlsa.<crate>.<metric>`):
+//! Metric names ([`vlsa_telemetry::names::core`]):
 //!
 //! - `vlsa.core.adds` — speculative additions performed
 //! - `vlsa.core.detector_fires` — additions where the `ER` signal rose
@@ -11,6 +11,8 @@
 //! Everything is gated on [`vlsa_telemetry::is_enabled`], so the
 //! disabled cost is one relaxed atomic load per addition.
 
+use vlsa_telemetry::names::core as metric;
+
 /// Records one speculative addition's outcome.
 #[inline]
 pub(crate) fn record_add(error_detected: bool, correct: bool) {
@@ -18,14 +20,14 @@ pub(crate) fn record_add(error_detected: bool, correct: bool) {
         return;
     }
     let recorder = vlsa_telemetry::recorder();
-    recorder.counter("vlsa.core.adds").incr();
+    recorder.counter(metric::ADDS).incr();
     if error_detected {
-        recorder.counter("vlsa.core.detector_fires").incr();
+        recorder.counter(metric::DETECTOR_FIRES).incr();
         if correct {
-            recorder.counter("vlsa.core.false_positives").incr();
+            recorder.counter(metric::FALSE_POSITIVES).incr();
         }
     }
     if !correct {
-        recorder.counter("vlsa.core.true_errors").incr();
+        recorder.counter(metric::TRUE_ERRORS).incr();
     }
 }

@@ -1,7 +1,7 @@
-//! `run_batch_on` (executor-driven) must be bit-identical to
-//! `run_batch` (the inline scalar loop) — outcomes *and* stats — for
-//! both executors, across fault-free streams, injected faults,
-//! mid-batch degrade flips, and chunked feeding.
+//! `run_batch_on` over the sliced executor must be bit-identical to
+//! `run_batch_on` over the scalar oracle — outcomes *and* stats —
+//! across fault-free streams, injected faults, mid-batch degrade
+//! flips, and chunked feeding.
 //!
 //! This is the contract that lets the server swap `--backend sliced`
 //! in without perturbing a single delivered sum, stall flag, cycle
@@ -11,10 +11,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use vlsa_batch::{BatchExecutor, ScalarExecutor, SlicedExecutor, WorkerPool};
+use vlsa_batch::{BatchExecutor, ScalarExecutor, SlicedExecutor};
 use vlsa_core::SpeculativeAdder;
 use vlsa_pipeline::{
-    adversarial_operands, random_operands, FaultKind, PipelineFault, ResilienceConfig,
+    adversarial_operands, random_operands, BatchTrace, FaultKind, PipelineFault, ResilienceConfig,
     ResilientPipeline,
 };
 
@@ -31,6 +31,13 @@ fn mixed_stream(nbits: usize) -> Vec<(u64, u64)> {
     ops
 }
 
+/// The reference run: the same state machine over the scalar oracle.
+fn scalar_run(pipeline: &mut ResilientPipeline, ops: &[(u64, u64)]) -> BatchTrace {
+    let adder = pipeline.adder();
+    let oracle = ScalarExecutor::new(adder.nbits(), adder.window());
+    pipeline.run_batch_on(&oracle, ops)
+}
+
 fn assert_identical(
     reference: &mut ResilientPipeline,
     subject: &mut ResilientPipeline,
@@ -38,7 +45,7 @@ fn assert_identical(
     ops: &[(u64, u64)],
     what: &str,
 ) {
-    let want = reference.run_batch(ops);
+    let want = scalar_run(reference, ops);
     let got = subject.run_batch_on(executor, ops);
     assert_eq!(want.stats, got.stats, "{what}: stats");
     assert_eq!(want.outcomes.len(), got.outcomes.len(), "{what}: len");
@@ -48,25 +55,19 @@ fn assert_identical(
 }
 
 #[test]
-fn fault_free_streams_match_for_both_executors() {
+fn fault_free_streams_match_the_scalar_oracle() {
     for &(nbits, window) in &[(64usize, 8usize), (32, 4), (16, 2), (8, 2)] {
         let ops = mixed_stream(nbits);
-        for sliced in [false, true] {
-            let executor: Box<dyn BatchExecutor> = if sliced {
-                Box::new(SlicedExecutor::new(nbits, window))
-            } else {
-                Box::new(ScalarExecutor::new(nbits, window))
-            };
-            let mut reference = pipeline(nbits, window);
-            let mut subject = pipeline(nbits, window);
-            assert_identical(
-                &mut reference,
-                &mut subject,
-                executor.as_ref(),
-                &ops,
-                &format!("nbits={nbits} window={window} sliced={sliced}"),
-            );
-        }
+        let executor = SlicedExecutor::new(nbits, window);
+        let mut reference = pipeline(nbits, window);
+        let mut subject = pipeline(nbits, window);
+        assert_identical(
+            &mut reference,
+            &mut subject,
+            &executor,
+            &ops,
+            &format!("nbits={nbits} window={window}"),
+        );
     }
 }
 
@@ -77,7 +78,7 @@ fn chunked_feeding_matches_one_long_run() {
     let ops = mixed_stream(nbits);
     let executor = SlicedExecutor::new(nbits, window);
     let mut reference = pipeline(nbits, window);
-    let one_shot = reference.run_batch(&ops);
+    let one_shot = scalar_run(&mut reference, &ops);
     let mut subject = pipeline(nbits, window);
     let mut outcomes = Vec::new();
     for chunk in ops.chunks(97) {
@@ -130,31 +131,19 @@ fn mid_batch_degrade_signal_flips_the_same_op() {
 
     let first = &ops[..500];
     let rest = &ops[500..];
-    let want_head = reference.run_batch(first);
+    let want_head = scalar_run(&mut reference, first);
     let got_head = subject.run_batch_on(&executor, first);
     assert_eq!(want_head.outcomes, got_head.outcomes);
     assert_eq!(want_head.stats, got_head.stats);
 
     signal_ref.store(true, Ordering::Relaxed);
     signal_sub.store(true, Ordering::Relaxed);
-    let want_tail = reference.run_batch(rest);
+    let want_tail = scalar_run(&mut reference, rest);
     let got_tail = subject.run_batch_on(&executor, rest);
     assert_eq!(want_tail.outcomes, got_tail.outcomes);
     assert_eq!(want_tail.stats, got_tail.stats);
     assert_eq!(want_tail.stats.degrade_transitions, 1);
     assert!(reference.is_degraded() && subject.is_degraded());
-}
-
-#[test]
-fn pooled_sliced_executor_matches_too() {
-    let nbits = 64;
-    let window = 8;
-    let ops = mixed_stream(nbits);
-    let pool = Arc::new(WorkerPool::new(2));
-    let executor = SlicedExecutor::new(nbits, window).with_pool(pool);
-    let mut reference = pipeline(nbits, window);
-    let mut subject = pipeline(nbits, window);
-    assert_identical(&mut reference, &mut subject, &executor, &ops, "pooled");
 }
 
 #[test]

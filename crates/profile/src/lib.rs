@@ -308,6 +308,15 @@ pub fn sample(duration: Duration, hz: u32) -> Profile {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
+    use std::sync::{MutexGuard, PoisonError};
+
+    /// The thread registry is process-global: tests that register
+    /// threads hold this lock, so `registered_threads` counts only
+    /// their own.
+    fn registry_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn interning_is_stable_and_dedups() {
@@ -321,6 +330,7 @@ mod tests {
 
     #[test]
     fn sampler_sees_a_pinned_stack() {
+        let _guard = registry_lock();
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let worker = std::thread::spawn(move || {
@@ -354,6 +364,7 @@ mod tests {
 
     #[test]
     fn idle_threads_fold_to_idle() {
+        let _guard = registry_lock();
         let _stack = register_thread("prof-idle-thread");
         let profile = sample(Duration::from_millis(20), 200);
         assert!(
@@ -365,6 +376,7 @@ mod tests {
 
     #[test]
     fn deregistration_removes_the_thread() {
+        let _guard = registry_lock();
         let before = registered_threads();
         let stack = register_thread("prof-transient");
         assert_eq!(registered_threads(), before + 1);
@@ -374,6 +386,7 @@ mod tests {
 
     #[test]
     fn guards_restore_depth() {
+        let _guard = registry_lock();
         let stack = register_thread("prof-depth");
         let f = frame("prof_depth_frame");
         {
@@ -389,6 +402,7 @@ mod tests {
 
     #[test]
     fn json_form_parses() {
+        let _guard = registry_lock();
         let _stack = register_thread("prof-json");
         let profile = sample(Duration::from_millis(15), 100);
         let doc = Json::parse(&profile.to_json().to_string()).expect("valid JSON");

@@ -46,7 +46,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use vlsa_batch::{Backend, SlicedExecutor, WorkerPool, LANES};
+use vlsa_batch::{executor_for, Backend, LANES};
 use vlsa_chaos::{ChaosInjector, WorkerFault};
 use vlsa_core::{SpecError, SpeculativeAdder};
 use vlsa_monitor::{ConformanceMonitor, MonitorConfig};
@@ -858,16 +858,9 @@ fn worker_loop(ctx: &WorkerCtx, batcher: &Batcher<Job>) {
     let adder = SpeculativeAdder::new(config.nbits, config.window).expect("validated in start");
     let mut pipeline = ResilientPipeline::new(adder, config.resilience);
     pipeline.set_degrade_signal(Arc::clone(&ctx.degrade));
-    // The sliced backend's executor, with a small shard-local
-    // work-stealing set so a multi-block request splits across threads;
-    // single-block requests run inline on this worker.
-    let executor = match config.backend {
-        Backend::Scalar => None,
-        Backend::Sliced => Some(
-            SlicedExecutor::new(config.nbits, config.window)
-                .with_pool(Arc::new(WorkerPool::new(2))),
-        ),
-    };
+    // The backend's executor runs inline on this worker: shards are
+    // the server's unit of parallelism.
+    let executor = executor_for(config.backend, config.nbits, config.window);
     let mut monitor = config.monitor_window_ops.map(|window_ops| {
         let mc = MonitorConfig::new(config.nbits, config.window).with_window_ops(window_ops);
         let mut m = ConformanceMonitor::new(mc);
@@ -996,10 +989,7 @@ fn worker_loop(ctx: &WorkerCtx, batcher: &Batcher<Job>) {
                     )
                 })
                 .collect();
-            let batch = match &executor {
-                Some(executor) => pipeline.run_batch_on(executor, &ops),
-                None => pipeline.run_batch(&ops),
-            };
+            let batch = pipeline.run_batch_on(&*executor, &ops);
             if let Some(m) = monitor.as_mut() {
                 let _in_monitor = stack.push(f_monitor);
                 for (&(a, b), outcome) in ops.iter().zip(&batch.outcomes) {

@@ -13,6 +13,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
+use vlsa_batch::ScalarExecutor;
 use vlsa_core::SpeculativeAdder;
 use vlsa_pipeline::{
     adversarial_operands, biased_operands, random_operands, ResilienceConfig, ResilientPipeline,
@@ -39,7 +40,7 @@ fn mixed_stream(seed: u64, count: usize) -> Vec<(u64, u64)> {
 
 /// Sequential references: per-op (sum, stalled) from the plain
 /// pipeline, and per-op exact-path verdicts + residue counters from a
-/// sequential resilient run.
+/// sequential resilient run over the scalar oracle.
 fn sequential_reference(ops: &[(u64, u64)]) -> (Vec<(u64, bool)>, Vec<bool>, u64) {
     let adder = SpeculativeAdder::new(NBITS, WINDOW).expect("valid adder");
     let mut plain = VlsaPipeline::new(adder);
@@ -47,7 +48,7 @@ fn sequential_reference(ops: &[(u64, u64)]) -> (Vec<(u64, bool)>, Vec<bool>, u64
     plain.run_observed(ops, |s| samples.push((s.sum, s.stalled)));
 
     let mut resilient = ResilientPipeline::new(adder, ResilienceConfig::default());
-    let batch = resilient.run_batch(ops);
+    let batch = resilient.run_batch_on(&ScalarExecutor::new(NBITS, WINDOW), ops);
     let exact_paths = batch.outcomes.iter().map(|o| o.exact_path).collect();
     (samples, exact_paths, batch.stats.residue_mismatches)
 }

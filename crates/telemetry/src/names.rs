@@ -172,10 +172,6 @@ pub mod batch {
     /// Occupied lanes per processed block (histogram; 64 = full word,
     /// anything lower is a ragged tail block wasting lanes).
     pub const LANE_OCCUPANCY: &str = "vlsa.batch.lane_occupancy";
-    /// Chunks executed by the work-stealing pool.
-    pub const POOL_TASKS: &str = "vlsa.batch.pool_tasks";
-    /// Chunks a pool worker stole from a sibling's deque.
-    pub const POOL_STEALS: &str = "vlsa.batch.pool_steals";
 }
 
 /// `vlsa.slo.*` — the SLO error-budget engine (`vlsa-slo`): burn-rate
@@ -331,7 +327,6 @@ mod tests {
             super::batch::OPS,
             super::batch::TRANSPOSE_NS,
             super::batch::LANE_OCCUPANCY,
-            super::batch::POOL_STEALS,
             super::slo::ALERTS,
             super::slo::BUDGET_CONSUMED,
             super::slo::BURN_RATE,
