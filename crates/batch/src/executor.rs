@@ -27,8 +27,10 @@ use vlsa_telemetry::DEFAULT_BUCKETS;
 
 /// Which [`BatchExecutor`] a component should run.
 ///
-/// Parsed from `--backend scalar|sliced`; [`Default`] is
-/// [`Backend::Scalar`], today's behavior.
+/// Parsed from `--backend scalar|sliced`. [`Default`] is
+/// [`Backend::Scalar`], the conformance oracle, so that report rows
+/// without a `backend` field read as scalar; servers pick their own
+/// default (`vlsa-server`'s `ShardConfig` runs sliced).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// One op at a time through the scalar ACA model.

@@ -8,16 +8,29 @@
 //! column is what the `--gate` flag checks: this is the per-shard win
 //! a `--backend sliced` server inherits.
 //!
-//! Methodology: per measurement the batch is executed once warm, then
+//! The `pipeline_ops_s` column times what a sliced shard actually runs
+//! per batch: `ResilientPipeline::run_batch_on` over the sliced
+//! executor under `ResilienceConfig::default()` (the per-op resilience
+//! replay plus the mod-3 residue audit on top of `execute`). Its ratio
+//! to `sliced_ops_s` is the replay overhead, which `--gate` also bounds
+//! by [`MAX_REPLAY_OVERHEAD`] on 64-bit rows: the common case must stay
+//! a small constant over the bare engine.
+//!
+//! Methodology: per row each measurement runs once warm, then
 //! `repeats` timed runs keep the *best* wall time — the run least
-//! disturbed by the scheduler — and throughput is `ops / best`.
+//! disturbed by the scheduler — and throughput is `ops / best`. The
+//! sliced and pipeline measurements of a row alternate within each
+//! repetition, so their ratio compares them under the same machine
+//! load; the scalar loop, 20× slower, is timed on its own so its cache
+//! and heap footprint does not land on either of them.
 
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vlsa_batch::{BatchExecutor, ScalarExecutor, SlicedExecutor};
-use vlsa_pipeline::random_operands;
+use vlsa_core::SpeculativeAdder;
+use vlsa_pipeline::{random_operands, ResilienceConfig, ResilientPipeline};
 use vlsa_telemetry::Json;
 
 use crate::report::Report;
@@ -70,24 +83,52 @@ pub const BATCH_OPS: usize = 64 * 1024;
 /// Timed repetitions per measurement (best-of).
 pub const REPEATS: usize = 5;
 
-/// Best-of-`repeats` throughput of `executor` over `ops`.
-fn ops_per_sec(executor: &dyn BatchExecutor, ops: &[(u64, u64)], repeats: usize) -> f64 {
-    std::hint::black_box(executor.execute(ops)); // warm
-    let mut best = Duration::MAX;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        std::hint::black_box(executor.execute(ops));
-        best = best.min(start.elapsed());
+/// The largest `sliced_ops_s / pipeline_ops_s` a 64-bit row may show
+/// when `--gate` is given: the resilient replay may at most halve the
+/// bare engine's throughput.
+pub const MAX_REPLAY_OVERHEAD: f64 = 2.0;
+
+/// Best-of-`repeats` throughput of each of `runs` over `ops` ops,
+/// timing the runs in alternation.
+fn ops_per_sec<const N: usize>(
+    ops: usize,
+    repeats: usize,
+    mut runs: [&mut dyn FnMut(); N],
+) -> [f64; N] {
+    for run in &mut runs {
+        run(); // warm
     }
-    ops.len() as f64 / best.as_secs_f64().max(1e-12)
+    let mut best = [Duration::MAX; N];
+    for _ in 0..repeats {
+        for (run, best) in runs.iter_mut().zip(&mut best) {
+            let start = Instant::now();
+            run();
+            *best = (*best).min(start.elapsed());
+        }
+    }
+    best.map(|b| ops as f64 / b.as_secs_f64().max(1e-12))
 }
 
-/// Runs one executor row: scalar vs sliced, single-threaded.
+/// Runs one executor row: scalar vs sliced vs the resilient pipeline
+/// over sliced, single-threaded.
 fn run_exec_point(point: ExecPoint, ops: &[(u64, u64)], repeats: usize) -> Json {
     let scalar = ScalarExecutor::new(point.nbits, point.window);
     let sliced = SlicedExecutor::new(point.nbits, point.window);
-    let scalar_ops_s = ops_per_sec(&scalar, ops, repeats);
-    let sliced_ops_s = ops_per_sec(&sliced, ops, repeats);
+    let adder = SpeculativeAdder::new(point.nbits, point.window).expect("committed point");
+    let mut pipeline = ResilientPipeline::new(adder, ResilienceConfig::default());
+    let [scalar_ops_s] = ops_per_sec(
+        ops.len(),
+        repeats,
+        [&mut || drop(std::hint::black_box(scalar.execute(ops)))],
+    );
+    let [sliced_ops_s, pipeline_ops_s] = ops_per_sec(
+        ops.len(),
+        repeats,
+        [
+            &mut || drop(std::hint::black_box(sliced.execute(ops))),
+            &mut || drop(std::hint::black_box(pipeline.run_batch_on(&sliced, ops))),
+        ],
+    );
     Json::obj()
         .set("nbits", point.nbits as u64)
         .set("window", point.window as u64)
@@ -95,6 +136,7 @@ fn run_exec_point(point: ExecPoint, ops: &[(u64, u64)], repeats: usize) -> Json 
         .set("scalar_ops_s", scalar_ops_s)
         .set("sliced_ops_s", sliced_ops_s)
         .set("speedup", sliced_ops_s / scalar_ops_s.max(1e-12))
+        .set("pipeline_ops_s", pipeline_ops_s)
 }
 
 /// Runs the whole benchmark and assembles the `BENCH_batch.json`
@@ -110,8 +152,8 @@ pub fn run_batch_bench(batch_ops: usize, repeats: usize) -> Report {
     );
 
     println!(
-        "{:>5} {:>6} | {:>14} {:>14} | {:>8}",
-        "nbits", "window", "scalar ops/s", "sliced ops/s", "speedup"
+        "{:>5} {:>6} | {:>14} {:>14} | {:>8} | {:>14}",
+        "nbits", "window", "scalar ops/s", "sliced ops/s", "speedup", "pipeline ops/s"
     );
     for &point in EXEC_POINTS {
         let mut rng = StdRng::seed_from_u64(0x5EED_BA7C);
@@ -119,12 +161,13 @@ pub fn run_batch_bench(batch_ops: usize, repeats: usize) -> Report {
         let row = run_exec_point(point, &ops, repeats);
         let f = |k: &str| row.get(k).and_then(Json::as_f64).unwrap_or(0.0);
         println!(
-            "{:>5} {:>6} | {:>14.0} {:>14.0} | {:>7.1}x",
+            "{:>5} {:>6} | {:>14.0} {:>14.0} | {:>7.1}x | {:>14.0}",
             point.nbits,
             point.window,
             f("scalar_ops_s"),
             f("sliced_ops_s"),
             f("speedup"),
+            f("pipeline_ops_s"),
         );
         report.push_row(row);
     }
@@ -137,16 +180,33 @@ pub fn run_batch_bench(batch_ops: usize, repeats: usize) -> Report {
 /// cheap enough that slicing's win shrinks by construction, while the
 /// server always runs 64-bit shards.
 pub fn min_speedup(report: &Report) -> f64 {
-    report
-        .to_json()
-        .get("rows")
+    wide_metric(report, |row| row.get("speedup").and_then(Json::as_f64))
+        .into_iter()
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The largest `sliced_ops_s / pipeline_ops_s` across the 64-bit rows:
+/// how many times slower the resilient replay runs than the bare
+/// sliced engine. `--gate` fails it above [`MAX_REPLAY_OVERHEAD`].
+pub fn max_replay_overhead(report: &Report) -> f64 {
+    wide_metric(report, |row| {
+        let f = |k: &str| row.get(k).and_then(Json::as_f64);
+        Some(f("sliced_ops_s")? / f("pipeline_ops_s")?.max(1e-12))
+    })
+    .into_iter()
+    .fold(0.0, f64::max)
+}
+
+/// `metric` of every 64-bit row that carries it.
+fn wide_metric(report: &Report, metric: impl Fn(&Json) -> Option<f64>) -> Vec<f64> {
+    let doc = report.to_json();
+    doc.get("rows")
         .and_then(Json::as_arr)
-        .map_or(f64::INFINITY, |rows| {
-            rows.iter()
-                .filter(|row| row.get("nbits").and_then(Json::as_u64) == Some(64))
-                .filter_map(|row| row.get("speedup").and_then(Json::as_f64))
-                .fold(f64::INFINITY, f64::min)
-        })
+        .unwrap_or_default()
+        .iter()
+        .filter(|row| row.get("nbits").and_then(Json::as_u64) == Some(64))
+        .filter_map(metric)
+        .collect()
 }
 
 #[cfg(test)]
@@ -174,9 +234,14 @@ mod tests {
                 .and_then(Json::as_f64)
                 .expect("sliced");
             let speedup = row.get("speedup").and_then(Json::as_f64).expect("speedup");
-            assert!(scalar > 0.0 && sliced > 0.0);
+            let pipeline = row
+                .get("pipeline_ops_s")
+                .and_then(Json::as_f64)
+                .expect("pipeline");
+            assert!(scalar > 0.0 && sliced > 0.0 && pipeline > 0.0);
             assert!((speedup - sliced / scalar).abs() < 1e-9);
         }
         assert!(min_speedup(&report).is_finite());
+        assert!(max_replay_overhead(&report) > 0.0);
     }
 }

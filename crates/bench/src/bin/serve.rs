@@ -8,7 +8,7 @@
 //!
 //! Flags: `--addr <host:port>` (default ephemeral), `--shards <n>`
 //! (default 4), `--n <bits>` (default 64), `--backend scalar|sliced`
-//! (execution backend per shard, default scalar; results are
+//! (execution backend per shard, default sliced; results are
 //! bit-identical either way — only throughput differs), `--cycle-ns
 //! <ns>` (modeled device time per pipeline cycle, default 3000),
 //! `--serve-secs <s>`
@@ -37,7 +37,7 @@ use vlsa_bench::report::{parse_arg, split_value_flag, ArgError};
 use vlsa_bench::serverbench::SWEEP_CYCLE_NS;
 use vlsa_chaos::{ChaosInjector, FaultPlan};
 use vlsa_monitor::write_addr_file;
-use vlsa_server::{Backend, EventLogConfig, ObsConfig, ServerConfig, ShardConfig, VlsaServer};
+use vlsa_server::{EventLogConfig, ObsConfig, ServerConfig, ShardConfig, VlsaServer};
 use vlsa_slo::Objectives;
 use vlsa_telemetry::ScopedRecorder;
 
@@ -75,7 +75,7 @@ fn main() {
     };
     let shards = parsed("--shards", shards, 4u64) as usize;
     let nbits = parsed("--n", nbits, 64u64) as usize;
-    let backend = backend.map_or(Backend::Scalar, |v| {
+    let backend = backend.map_or(ShardConfig::default().backend, |v| {
         parse_arg("--backend", &v).unwrap_or_else(|e| e.exit())
     });
     let cycle_ns = parsed("--cycle-ns", cycle_ns, SWEEP_CYCLE_NS);

@@ -26,6 +26,16 @@
 //!   least `2·(window+1)` bits: whenever `window ≥ (nbits − 1)/2` the
 //!   escape set of natural ACA errors is *empty*.
 //!
+//! Cost on the served path: a delivered result is almost always the
+//! exact sum, so [`ResidueChecker::accepts`] first tests the integer
+//! identity `a + b == sum + cout·2ⁿ` in `u128` (one add, one shift, one
+//! compare for `nbits ≤ 64`). Integer equality implies the congruence
+//! for every `m`, so the early accept never changes a verdict; the
+//! mod-`m` comparison runs only on a wrong result (an injected fault or
+//! an `ER` escape). All residue arithmetic is done in `u128`, where
+//! every intermediate (`x mod m < 2⁶⁴`, products of two residues
+//! `< 2¹²⁸`) fits, so any odd modulus up to `u64::MAX` is exact.
+//!
 //! The checker is the trusted base of the resilience layer
 //! (`vlsa-resilience` campaigns assume the checker itself is
 //! fault-free, the standard assumption in fault-injection studies); on
@@ -83,35 +93,71 @@ impl ResidueChecker {
         x % self.modulus
     }
 
-    /// `2^nbits mod m`, the weight of the carry-out bit.
+    /// `(x + y) mod m` for residues `x, y < m`, without overflow.
+    fn add_mod(&self, x: u64, y: u64) -> u64 {
+        ((u128::from(x) + u128::from(y)) % u128::from(self.modulus)) as u64
+    }
+
+    /// `(x · y) mod m` for residues `x, y < m`, without overflow.
+    fn mul_mod(&self, x: u64, y: u64) -> u64 {
+        ((u128::from(x) * u128::from(y)) % u128::from(self.modulus)) as u64
+    }
+
+    /// `2^nbits mod m`, the weight of the carry-out bit, by
+    /// square-and-multiply: O(log `nbits`) reductions.
     pub fn pow2(&self, nbits: usize) -> u64 {
-        let mut r = 1u64;
-        for _ in 0..nbits {
-            r = (r * 2) % self.modulus;
+        let mut result = 1;
+        let mut base = self.residue(2);
+        let mut exp = nbits;
+        while exp > 0 {
+            if exp & 1 == 1 {
+                result = self.mul_mod(result, base);
+            }
+            base = self.mul_mod(base, base);
+            exp >>= 1;
         }
-        r
+        result
     }
 
     /// The residue the operands predict: `(a + b) mod m`.
     pub fn expected(&self, a: u64, b: u64) -> u64 {
-        (self.residue(a) + self.residue(b)) % self.modulus
+        self.add_mod(self.residue(a), self.residue(b))
     }
 
     /// The residue of a delivered result: `(sum + cout·2ⁿ) mod m`.
     pub fn observed(&self, sum: u64, cout: bool, nbits: usize) -> u64 {
-        (self.residue(sum) + u64::from(cout) * self.pow2(nbits)) % self.modulus
+        let weight = if cout { self.pow2(nbits) } else { 0 };
+        self.add_mod(self.residue(sum), weight)
     }
 
     /// Whether the delivered `(sum, cout)` is residue-consistent with
     /// `a + b`. `true` never rejects a correct result; `false` proves
     /// the result wrong.
+    ///
+    /// An exact result (`a + b == sum + cout·2ⁿ` as integers, checked
+    /// for `nbits ≤ 64`) is accepted with one compare; only a wrong one
+    /// pays for the mod-`m` reduction.
+    #[inline]
     pub fn accepts(&self, a: u64, b: u64, sum: u64, cout: bool, nbits: usize) -> bool {
+        if nbits <= 64
+            && u128::from(a) + u128::from(b) == u128::from(sum) + (u128::from(cout) << nbits)
+        {
+            return true;
+        }
+        self.congruent(a, b, sum, cout, nbits)
+    }
+
+    /// The mod-`m` comparison behind [`ResidueChecker::accepts`].
+    #[cold]
+    #[inline(never)]
+    fn congruent(&self, a: u64, b: u64, sum: u64, cout: bool, nbits: usize) -> bool {
         self.expected(a, b) == self.observed(sum, cout, nbits)
     }
 
     /// Wide-operand [`ResidueChecker::residue`] over little-endian
     /// `u64` words, truncated to `nbits`.
     pub fn residue_wide(&self, words: &[u64], nbits: usize) -> u64 {
+        let word_weight = self.pow2(64);
         let mut r = 0u64;
         let mut weight = 1u64;
         let nwords = nbits.div_ceil(64);
@@ -122,8 +168,8 @@ impl ResidueChecker {
                 w
             };
             // Fold each word at its positional weight 2^(64·i) mod m.
-            r = (r + (w % self.modulus) * weight) % self.modulus;
-            weight = (weight * self.pow2(64)) % self.modulus;
+            r = self.add_mod(r, self.mul_mod(self.residue(w), weight));
+            weight = self.mul_mod(weight, word_weight);
         }
         r
     }
@@ -267,6 +313,130 @@ mod tests {
             let r = check.residue_wide(&[5, 1], 128);
             let expect = (5 + check.pow2(64)) % m;
             assert_eq!(r, expect);
+        }
+    }
+
+    /// The plain mod-`m` formula (a linear `2ⁿ` loop, no early accept),
+    /// widened to `u128` so it cannot overflow: the reference every
+    /// verdict must match.
+    fn reference_pow2(m: u64, nbits: usize) -> u128 {
+        let m = u128::from(m);
+        let mut r = 1u128;
+        for _ in 0..nbits {
+            r = (r * 2) % m;
+        }
+        r
+    }
+
+    fn reference_accepts(m: u64, a: u64, b: u64, sum: u64, cout: bool, nbits: usize) -> bool {
+        let wide = u128::from(m);
+        let expected = (u128::from(a) % wide + u128::from(b) % wide) % wide;
+        let observed =
+            (u128::from(sum) % wide + u128::from(cout) * reference_pow2(m, nbits)) % wide;
+        expected == observed
+    }
+
+    const LARGE_MODULI: [u64; 2] = [(1 << 63) + 1, u64::MAX];
+
+    #[test]
+    fn large_moduli_accept_correct_sums_and_reduce_exactly() {
+        for m in LARGE_MODULI {
+            let check = ResidueChecker::new(m).expect("valid");
+            // 2^64 mod (2^63 + 1) = 2^63 − 1; 2^64 mod (2^64 − 1) = 1.
+            let weight = if m == u64::MAX { 1 } else { (1 << 63) - 1 };
+            assert_eq!(check.pow2(64), weight, "m = {m:#x}");
+            // u64::MAX + 2^63 = 2^64 + (2^63 − 1): a correct sum with
+            // the carry out set.
+            let (a, b) = (u64::MAX, 1u64 << 63);
+            let (sum, cout) = (a.wrapping_add(b), true);
+            assert_eq!(sum, (1 << 63) - 1);
+            assert!(check.accepts(a, b, sum, cout, 64), "m = {m:#x}");
+            // The mod-m path agrees on its own, without the early accept.
+            assert_eq!(check.expected(a, b), check.observed(sum, cout, 64));
+            // Off by one is caught; off by exactly m is the checker's
+            // blind spot, and must read as such.
+            assert!(!check.accepts(a, b, sum ^ 1, cout, 64));
+            let exact = u128::from(a) + u128::from(b);
+            let shifted = exact - u128::from(m);
+            assert!(check.accepts(a, b, shifted as u64, shifted >> 64 != 0, 64));
+            // Every 64-bit word folds at weight 2^64 mod m.
+            assert_eq!(
+                check.residue_wide(&[u64::MAX, u64::MAX], 128),
+                ((u128::MAX) % u128::from(m)) as u64
+            );
+        }
+    }
+
+    #[test]
+    fn accepts_matches_the_reference_exhaustively_at_small_widths() {
+        for m in [3u64, 5, 7, 9, 15] {
+            let check = ResidueChecker::new(m).expect("valid");
+            for nbits in 0..=5usize {
+                let values = 1u64 << nbits;
+                for a in 0..values {
+                    for b in 0..values {
+                        for sum in 0..values {
+                            for cout in [false, true] {
+                                assert_eq!(
+                                    check.accepts(a, b, sum, cout, nbits),
+                                    reference_accepts(m, a, b, sum, cout, nbits),
+                                    "m={m} nbits={nbits} {a}+{b} vs ({sum}, {cout})"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pow2_matches_a_naive_loop() {
+        for m in [3u64, 5, 7, 9, 15, 1_000_003, (1 << 32) + 15]
+            .into_iter()
+            .chain(LARGE_MODULI)
+        {
+            let check = ResidueChecker::new(m).expect("valid");
+            for n in 0..=128usize {
+                assert_eq!(
+                    u128::from(check.pow2(n)),
+                    reference_pow2(m, n),
+                    "2^{n} mod {m}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn accepts_matches_the_reference_at_64_bits(
+            a in proptest::prelude::any::<u64>(),
+            b in proptest::prelude::any::<u64>(),
+            half in 1u64..=u64::MAX / 2,
+            j in 0usize..=64,
+        ) {
+            let m = 2 * half + 1;
+            let check = ResidueChecker::new(m).expect("odd, >= 3");
+            let exact = u128::from(a) + u128::from(b);
+            let correct = (exact as u64, exact >> 64 != 0);
+            proptest::prop_assert!(check.accepts(a, b, correct.0, correct.1, 64));
+            // Off by ±2^j in the full 65-bit result: the shape of a
+            // truncated carry run (ACA) or a single-bit fault.
+            let delta = 1u128 << j;
+            let candidates = [
+                Some(exact),
+                exact.checked_sub(delta),
+                Some(exact + delta).filter(|v| v >> 65 == 0),
+            ];
+            for full in candidates.into_iter().flatten() {
+                for cout in [false, true] {
+                    let sum = full as u64;
+                    proptest::prop_assert_eq!(
+                        check.accepts(a, b, sum, cout, 64),
+                        reference_accepts(m, a, b, sum, cout, 64)
+                    );
+                }
+            }
         }
     }
 

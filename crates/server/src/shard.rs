@@ -105,8 +105,9 @@ pub struct ShardConfig {
     /// (the worker runs as fast as the host allows).
     pub cycle_ns: u64,
     /// Which arithmetic backend each shard worker runs its batches on:
-    /// the scalar per-op loop or the bit-sliced (transposed) engine.
-    /// Outcomes are bit-identical either way; only throughput differs.
+    /// the bit-sliced (transposed) engine by default, or the scalar
+    /// per-op loop. Outcomes are bit-identical either way; only
+    /// throughput differs.
     pub backend: Backend,
     /// Ops per conformance-monitor window; `None` runs without a
     /// monitor.
@@ -124,7 +125,7 @@ impl Default for ShardConfig {
             queue_capacity: 64,
             batch: BatchPolicy::default(),
             cycle_ns: 0,
-            backend: Backend::Scalar,
+            backend: Backend::Sliced,
             monitor_window_ops: None,
             supervisor: SupervisorConfig::default(),
         }
