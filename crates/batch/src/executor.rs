@@ -135,6 +135,21 @@ impl ScalarExecutor {
         assert!(window >= 1, "window={window}");
         ScalarExecutor { nbits, window }
     }
+
+    /// One op's verdict; operands are masked to the executor's width.
+    pub fn verdict(&self, a: u64, b: u64) -> OpVerdict {
+        let mask = width_mask(self.nbits);
+        let (a, b) = (a & mask, b & mask);
+        let (spec, spec_cout) = vlsa_core::windowed_add_u64(a, b, self.nbits, self.window);
+        let full = a as u128 + b as u128;
+        OpVerdict {
+            spec,
+            exact: (full as u64) & mask,
+            er: vlsa_runstats::longest_one_run_u64(a ^ b) as usize >= self.window,
+            spec_cout,
+            exact_cout: full >> self.nbits != 0,
+        }
+    }
 }
 
 impl BatchExecutor for ScalarExecutor {
@@ -151,24 +166,7 @@ impl BatchExecutor for ScalarExecutor {
     }
 
     fn execute(&self, ops: &[(u64, u64)]) -> Vec<OpVerdict> {
-        let mask = width_mask(self.nbits);
-        ops.iter()
-            .map(|&(a, b)| {
-                let (a, b) = (a & mask, b & mask);
-                let (spec, spec_cout) = vlsa_core::windowed_add_u64(a, b, self.nbits, self.window);
-                let full = a as u128 + b as u128;
-                let exact = (full as u64) & mask;
-                let exact_cout = full >> self.nbits != 0;
-                let er = vlsa_runstats::longest_one_run_u64(a ^ b) as usize >= self.window;
-                OpVerdict {
-                    spec,
-                    exact,
-                    er,
-                    spec_cout,
-                    exact_cout,
-                }
-            })
-            .collect()
+        ops.iter().map(|&(a, b)| self.verdict(a, b)).collect()
     }
 }
 

@@ -134,9 +134,9 @@ fn main() {
     // The paper's Fig. 7 scenario in miniature.
     println!("\nTiming diagram (paper Fig. 7 shape: op 2 errs, ops 1 and 3 are clean):");
     let adder = SpeculativeAdder::new(16, 4).expect("valid");
-    let mut pipe = VlsaPipeline::new(adder);
-    let trace = pipe.run(&[(0x0012, 0x0034), (0x7FFF, 0x0001), (0x0100, 0x0200)]);
-    print!("{}", trace.render_timing_diagram(8));
+    let pipe = VlsaPipeline::new(adder);
+    let fig7 = [(0x0012, 0x0034), (0x7FFF, 0x0001), (0x0100, 0x0200)];
+    print!("{}", pipe.timing_diagram(&fig7, 8));
 
     // Worst case: adversarial stream keeps the pipeline at 2 cycles/op.
     let mut pipe = VlsaPipeline::new(SpeculativeAdder::new(32, 8).expect("valid"));

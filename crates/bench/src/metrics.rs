@@ -150,7 +150,10 @@ pub fn pipeline_metrics_run(ops: usize, queue_cycles: u64, seed: u64) -> Pipelin
         .set(
             "latency_histogram",
             registry
-                .histogram("vlsa.pipeline.op_latency_cycles", DEFAULT_BUCKETS)
+                .histogram(
+                    vlsa_telemetry::names::pipeline::OP_LATENCY_CYCLES,
+                    DEFAULT_BUCKETS,
+                )
                 .to_json(),
         )
         .set("latency_quantiles", quantiles)

@@ -82,13 +82,13 @@ pub fn capture_run(cfg: &TraceConfig) -> CapturedRun {
             .set("seed", cfg.seed)
             .set("ops", trace.operations)
             .set("errors", trace.errors)
-            .set("total_cycles", trace.total_cycles()),
+            .set("total_cycles", trace.total_cycles),
     );
     CapturedRun {
         doc,
         operations: trace.operations,
         errors: trace.errors,
-        total_cycles: trace.total_cycles(),
+        total_cycles: trace.total_cycles,
         events: events.len(),
         dropped,
     }

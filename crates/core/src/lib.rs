@@ -57,6 +57,7 @@ pub use carryop::{CarryOp, CarryOpWord};
 pub use detect::error_detector;
 pub use error::SpecError;
 pub use exact_error::{prob_aca_detection, prob_aca_error, prob_aca_false_alarm};
+pub use metrics::AddTally;
 pub use multiop::MultiOperandAdder;
 pub use overclock::TimingSpeculativeAdder;
 pub use residue::ResidueChecker;

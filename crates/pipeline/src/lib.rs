@@ -7,11 +7,16 @@
 //! appears one cycle later — so the average latency over a random
 //! stream is `1 + P(error)` cycles, within a hair of 1.
 //!
-//! [`VlsaPipeline::run`] produces a [`PipelineTrace`] with the
-//! per-cycle handshake, aggregate latency statistics, and an ASCII
-//! rendering of the paper's Fig. 7 timing diagram.
-//! [`EffectiveLatency`] then converts cycle counts into wall-clock
-//! speedup versus a single-cycle traditional adder.
+//! The crate states that rule once, in [`ResilientPipeline`]'s per-op
+//! state machine. With no fault injected and no residue check, that
+//! machine is exactly the paper's handshake, and [`VlsaPipeline`] is a
+//! streaming view of it: [`VlsaPipeline::run`] returns the cycle counts
+//! of a stream as a [`PipelineTrace`], [`VlsaPipeline::timing_diagram`]
+//! renders the paper's Fig. 7 for a short stream, and the queue model
+//! ([`VlsaPipeline::run_queued`]) charges each op `1 + ER` cycles from
+//! the same scalar oracle. [`EffectiveLatency`] then converts cycle
+//! counts into wall-clock speedup versus a single-cycle traditional
+//! adder.
 
 mod queue;
 mod resilient;
@@ -24,47 +29,34 @@ pub use resilient::{
 
 use rand::Rng;
 use std::fmt;
-use vlsa_core::SpeculativeAdder;
-use vlsa_trace::TraceEvent;
+use vlsa_batch::{BatchExecutor, ScalarExecutor};
+use vlsa_core::{AddTally, SpeculativeAdder};
+use vlsa_telemetry::names::pipeline as metric;
+use vlsa_telemetry::DEFAULT_BUCKETS;
 
-/// What the pipeline did in one clock cycle.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CycleRecord {
-    /// Clock cycle index, starting at 1 (as in the paper's Fig. 7).
-    pub cycle: u64,
-    /// Index of the operand pair whose result appears this cycle.
-    pub op_index: usize,
-    /// The sum driven on the output bus this cycle.
-    pub sum: u64,
-    /// The `VALID` flag: the sum may be consumed.
-    pub valid: bool,
-    /// The `STALL` flag: the adder cannot accept new operands.
-    pub stall: bool,
-}
+/// Operand pairs per executor call in [`VlsaPipeline::run_observed`]:
+/// the verdict and outcome buffers stay this small however long the
+/// stream is.
+const CHUNK_OPS: usize = 4096;
 
-/// The complete execution trace of a stream of additions.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// The cycle accounting of a stream of additions.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PipelineTrace {
-    /// Per-cycle records in order.
-    pub records: Vec<CycleRecord>,
     /// Number of operand pairs processed.
     pub operations: u64,
     /// Number of operations that needed the recovery cycle.
     pub errors: u64,
+    /// Total clock cycles consumed.
+    pub total_cycles: u64,
 }
 
 impl PipelineTrace {
-    /// Total clock cycles consumed.
-    pub fn total_cycles(&self) -> u64 {
-        self.records.len() as u64
-    }
-
     /// Average cycles per addition (the paper's headline `1.000x`).
     pub fn average_latency(&self) -> f64 {
         if self.operations == 0 {
             0.0
         } else {
-            self.total_cycles() as f64 / self.operations as f64
+            self.total_cycles as f64 / self.operations as f64
         }
     }
 
@@ -76,34 +68,6 @@ impl PipelineTrace {
             self.errors as f64 / self.operations as f64
         }
     }
-
-    /// Renders the first `max_cycles` cycles as an ASCII timing diagram
-    /// in the style of the paper's Fig. 7.
-    pub fn render_timing_diagram(&self, max_cycles: usize) -> String {
-        use std::fmt::Write as _;
-        let shown = &self.records[..self.records.len().min(max_cycles)];
-        let mut rows = [
-            String::from("cycle |"),
-            String::from("op    |"),
-            String::from("sum   |"),
-            String::from("valid |"),
-            String::from("stall |"),
-        ];
-        for r in shown {
-            let op = format!("A{}B{}", r.op_index + 1, r.op_index + 1);
-            let sum = if r.valid {
-                format!("S{}", r.op_index + 1)
-            } else {
-                format!("S{}*", r.op_index + 1)
-            };
-            let _ = write!(rows[0], " {:>6}", r.cycle);
-            let _ = write!(rows[1], " {op:>6}");
-            let _ = write!(rows[2], " {sum:>6}");
-            let _ = write!(rows[3], " {:>6}", if r.valid { 1 } else { 0 });
-            let _ = write!(rows[4], " {:>6}", if r.stall { 1 } else { 0 });
-        }
-        rows.join("\n") + "\n"
-    }
 }
 
 impl fmt::Display for PipelineTrace {
@@ -112,7 +76,7 @@ impl fmt::Display for PipelineTrace {
             f,
             "{} ops in {} cycles ({} errors, average latency {:.4})",
             self.operations,
-            self.total_cycles(),
+            self.total_cycles,
             self.errors,
             self.average_latency()
         )
@@ -151,7 +115,7 @@ pub struct OpSample {
 /// let trace = pipe.run(&[(1, 2), (u64::MAX, 1), (7, 8)]);
 /// assert_eq!(trace.operations, 3);
 /// // The all-propagate pair stalls one extra cycle.
-/// assert_eq!(trace.total_cycles(), 4);
+/// assert_eq!(trace.total_cycles, 4);
 /// # Ok::<(), vlsa_core::SpecError>(())
 /// ```
 #[derive(Clone, Debug)]
@@ -173,18 +137,24 @@ impl VlsaPipeline {
     /// Feeds a stream of operand pairs through the pipeline and returns
     /// the trace. Operands are truncated to the adder width.
     ///
+    /// Each call replays the stream, 4,096 pairs at a time, through a
+    /// fresh fault-free, residue-free [`ResilientPipeline`] fed by
+    /// [`ScalarExecutor`] verdicts, so op indices and cycles restart at
+    /// 0 on every call.
+    ///
     /// When telemetry is enabled, records `vlsa.pipeline.ops` /
     /// `vlsa.pipeline.stalls` counters, the per-op latency histogram
-    /// `vlsa.pipeline.op_latency_cycles`, and the lengths of runs of
-    /// consecutive stalled operations in `vlsa.pipeline.stall_run_ops`.
+    /// `vlsa.pipeline.op_latency_cycles`, the lengths of runs of
+    /// consecutive stalled operations in `vlsa.pipeline.stall_run_ops`,
+    /// and the `vlsa.core.*` counts of the additions; the
+    /// `vlsa.resilience.*` counters are left alone.
     ///
     /// When tracing is enabled (`vlsa_trace::is_enabled`), every
-    /// operation emits flight-recorder spans with cycle timestamps: an
-    /// `op` span carrying the full operands (track 0, the replay
-    /// source), a `speculate` span, and — on detection — a `detect`
-    /// marker plus `recover` and `stall` spans for the bubble (tracks
-    /// 1–2). Disabled, the whole hook is one relaxed atomic load before
-    /// the loop.
+    /// operation emits the state machine's flight-recorder spans with
+    /// cycle timestamps (category `"resilience"`): an `op` span
+    /// carrying the full operands (track 0, the replay source), a
+    /// `speculate` span, and — on detection — a `detect` marker plus
+    /// `recover` and `stall` spans for the bubble (tracks 1–2).
     ///
     /// # Panics
     ///
@@ -196,9 +166,7 @@ impl VlsaPipeline {
     /// [`VlsaPipeline::run`] with a live observer: `observe` is called
     /// once per operation with the sampled operands, delivered sum,
     /// stall flag, and latency — the hook a conformance monitor uses to
-    /// watch real traffic without buffering the stream. The observer
-    /// adds nothing to the disabled-path cost of `run`, which passes a
-    /// no-op closure the compiler erases.
+    /// watch real traffic without buffering the stream.
     ///
     /// # Panics
     ///
@@ -208,120 +176,123 @@ impl VlsaPipeline {
         operands: &[(u64, u64)],
         mut observe: F,
     ) -> PipelineTrace {
+        let nbits = self.adder.nbits();
+        let executor = ScalarExecutor::new(nbits, self.adder.window());
+        let handshake = ResilienceConfig {
+            residue: None,
+            ..ResilienceConfig::default()
+        };
+        let mut pipe = ResilientPipeline::new(self.adder, handshake);
         let telemetry = vlsa_telemetry::is_enabled().then(|| {
             let recorder = vlsa_telemetry::recorder();
             (
-                recorder.histogram(
-                    vlsa_telemetry::names::pipeline::OP_LATENCY_CYCLES,
-                    vlsa_telemetry::DEFAULT_BUCKETS,
-                ),
-                recorder.histogram(
-                    vlsa_telemetry::names::pipeline::STALL_RUN_OPS,
-                    vlsa_telemetry::DEFAULT_BUCKETS,
-                ),
+                recorder.counter(metric::OPS),
+                recorder.counter(metric::STALLS),
+                recorder.histogram(metric::OP_LATENCY_CYCLES, DEFAULT_BUCKETS),
+                recorder.histogram(metric::STALL_RUN_OPS, DEFAULT_BUCKETS),
             )
         });
-        let nbits = self.adder.nbits();
         let mask = if nbits == 64 {
             u64::MAX
         } else {
             (1u64 << nbits) - 1
         };
-        let spans = vlsa_trace::recorder();
+        // Lives outside the chunk loop: a stall run crossing a chunk
+        // boundary is one run.
         let mut stall_run = 0u64;
         let mut trace = PipelineTrace::default();
-        let mut cycle = 0u64;
-        for (idx, &(a, b)) in operands.iter().enumerate() {
-            let r = self.adder.add_u64(a, b);
-            cycle += 1;
-            if let Some((latency, stall_runs)) = &telemetry {
-                latency.record(if r.error_detected { 2 } else { 1 });
-                if r.error_detected {
-                    stall_run += 1;
-                } else if stall_run > 0 {
-                    stall_runs.record(stall_run);
-                    stall_run = 0;
+        for chunk in operands.chunks(CHUNK_OPS) {
+            let verdicts = executor.execute(chunk);
+            let batch = pipe.replay(chunk, &verdicts);
+            for (&(a, b), outcome) in chunk.iter().zip(&batch.outcomes) {
+                observe(&OpSample {
+                    index: trace.operations as usize,
+                    a: a & mask,
+                    b: b & mask,
+                    sum: outcome.sum,
+                    stalled: outcome.stalled,
+                    latency_cycles: outcome.cycles,
+                });
+                trace.operations += 1;
+                if let Some((.., stall_runs)) = &telemetry {
+                    if outcome.stalled {
+                        stall_run += 1;
+                    } else if stall_run > 0 {
+                        stall_runs.record(stall_run);
+                        stall_run = 0;
+                    }
                 }
             }
-            if let Some(rec) = &spans {
-                let ts = cycle - 1;
-                let dur = 1 + u64::from(r.error_detected);
-                let sum = if r.error_detected {
-                    r.exact
-                } else {
-                    r.speculative
-                };
-                rec.record(
-                    TraceEvent::complete("op", "pipeline", ts, dur)
-                        .arg("i", idx as u64)
-                        .arg("a", a)
-                        .arg("b", b)
-                        .arg("sum", sum)
-                        .arg("err", u64::from(r.error_detected)),
-                );
-                rec.record(TraceEvent::complete("speculate", "pipeline", ts, 1).on_track(1));
-                if r.error_detected {
-                    rec.record(TraceEvent::instant("detect", "pipeline", ts + 1).on_track(1));
-                    rec.record(TraceEvent::complete("recover", "pipeline", ts + 1, 1).on_track(1));
-                    rec.record(TraceEvent::complete("stall", "pipeline", ts + 1, 1).on_track(2));
+            let stalls = batch.stats.er_recoveries;
+            trace.errors += stalls;
+            trace.total_cycles += batch.stats.cycles;
+            if let Some((ops, stall_count, latency, _)) = &telemetry {
+                let clean = chunk.len() as u64 - stalls;
+                ops.add(chunk.len() as u64);
+                stall_count.add(stalls);
+                latency.record_n(1, clean);
+                latency.record_n(2, stalls);
+                let mut adds = AddTally::default();
+                for v in &verdicts {
+                    adds.count(v.er, v.spec == v.exact);
                 }
+                adds.record();
             }
-            observe(&OpSample {
-                index: idx,
-                a: a & mask,
-                b: b & mask,
-                sum: if r.error_detected {
-                    r.exact
-                } else {
-                    r.speculative
-                },
-                stalled: r.error_detected,
-                latency_cycles: 1 + u64::from(r.error_detected),
-            });
-            if r.error_detected {
-                // Cycle 1: speculative (possibly wrong) sum, VALID low,
-                // STALL high while recovery runs.
-                trace.records.push(CycleRecord {
-                    cycle,
-                    op_index: idx,
-                    sum: r.speculative,
-                    valid: false,
-                    stall: true,
-                });
-                cycle += 1;
-                // Cycle 2: corrected sum.
-                trace.records.push(CycleRecord {
-                    cycle,
-                    op_index: idx,
-                    sum: r.exact,
-                    valid: true,
-                    stall: false,
-                });
-                trace.errors += 1;
-            } else {
-                trace.records.push(CycleRecord {
-                    cycle,
-                    op_index: idx,
-                    sum: r.speculative,
-                    valid: true,
-                    stall: false,
-                });
-            }
-            trace.operations += 1;
         }
-        if let Some((_, stall_runs)) = &telemetry {
+        if let Some((.., stall_runs)) = &telemetry {
             if stall_run > 0 {
                 stall_runs.record(stall_run);
             }
-            let recorder = vlsa_telemetry::recorder();
-            recorder
-                .counter(vlsa_telemetry::names::pipeline::OPS)
-                .add(trace.operations);
-            recorder
-                .counter(vlsa_telemetry::names::pipeline::STALLS)
-                .add(trace.errors);
         }
         trace
+    }
+
+    /// Renders the paper's Fig. 7 timing diagram of a short operand
+    /// stream as ASCII, one column per clock cycle for at most
+    /// `max_cycles` cycles. An op whose detector fires shows its
+    /// speculative result (`S2*`, `VALID` low, `STALL` high) for one
+    /// cycle, then the corrected sum.
+    ///
+    /// The diagram comes from an ordinary [`VlsaPipeline::run_observed`]
+    /// over the first `max_cycles` pairs, so it records telemetry and
+    /// spans like any run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the adder is wider than 64 bits.
+    pub fn timing_diagram(&self, operands: &[(u64, u64)], max_cycles: usize) -> String {
+        use std::fmt::Write as _;
+        // Every op takes at least one cycle, so this prefix fills the
+        // diagram.
+        let shown = &operands[..operands.len().min(max_cycles)];
+        let mut cycles = Vec::new(); // (op index, VALID) per cycle
+        VlsaPipeline::new(self.adder).run_observed(shown, |s| {
+            if s.stalled {
+                cycles.push((s.index, false));
+            }
+            cycles.push((s.index, true));
+        });
+        let mut rows = [
+            String::from("cycle |"),
+            String::from("op    |"),
+            String::from("sum   |"),
+            String::from("valid |"),
+            String::from("stall |"),
+        ];
+        for (cycle, &(op, valid)) in cycles.iter().take(max_cycles).enumerate() {
+            let n = op + 1;
+            let sum = if valid {
+                format!("S{n}")
+            } else {
+                format!("S{n}*")
+            };
+            let _ = write!(rows[0], " {:>6}", cycle + 1);
+            let _ = write!(rows[1], " {:>6}", format!("A{n}B{n}"));
+            let _ = write!(rows[2], " {sum:>6}");
+            let _ = write!(rows[3], " {:>6}", u8::from(valid));
+            let _ = write!(rows[4], " {:>6}", u8::from(!valid));
+        }
+        rows.join("\n") + "\n"
     }
 }
 
@@ -445,45 +416,54 @@ mod tests {
     #[test]
     fn clean_stream_is_single_cycle() {
         let mut pipe = VlsaPipeline::new(adder(32, 32));
-        let trace = pipe.run(&[(1, 2), (3, 4), (5, 6)]);
-        assert_eq!(trace.total_cycles(), 3);
+        let mut samples = Vec::new();
+        let trace = pipe.run_observed(&[(1, 2), (3, 4), (5, 6)], |s| samples.push(*s));
+        assert_eq!(trace.total_cycles, 3);
         assert_eq!(trace.errors, 0);
         assert_eq!(trace.average_latency(), 1.0);
-        assert!(trace.records.iter().all(|r| r.valid && !r.stall));
-        assert_eq!(trace.records[1].sum, 7);
+        assert!(samples.iter().all(|s| !s.stalled && s.latency_cycles == 1));
+        assert_eq!(samples[1].sum, 7);
     }
 
     #[test]
     fn errors_cost_exactly_one_extra_cycle() {
         let mut pipe = VlsaPipeline::new(adder(16, 4));
         let ops = adversarial_operands(16, 5);
-        let trace = pipe.run(&ops);
+        let mut samples = Vec::new();
+        let trace = pipe.run_observed(&ops, |s| samples.push(*s));
         assert_eq!(trace.errors, 5);
-        assert_eq!(trace.total_cycles(), 10);
+        assert_eq!(trace.total_cycles, 10);
         assert_eq!(trace.average_latency(), 2.0);
-        // Stall cycles carry the wrong sum with VALID low.
-        let stall = &trace.records[0];
-        assert!(stall.stall && !stall.valid);
-        let fix = &trace.records[1];
-        assert!(fix.valid && !fix.stall);
-        assert_eq!(fix.sum, ops[0].0.wrapping_add(ops[0].1) & 0xFFFF);
+        // Each stalled op delivers the corrected sum after its bubble.
+        assert!(samples.iter().all(|s| s.stalled && s.latency_cycles == 2));
+        assert_eq!(samples[0].sum, ops[0].0.wrapping_add(ops[0].1) & 0xFFFF);
+        // Stall cycles show the speculative result with VALID low.
+        let diagram = pipe.timing_diagram(&ops, 2);
+        assert!(diagram.contains("valid |      0      1\n"), "{diagram}");
+        assert!(diagram.contains("stall |      1      0\n"), "{diagram}");
     }
 
     #[test]
     fn mixed_stream_reproduces_fig7() {
         // Paper Fig. 7: ops 1 and 3 are clean, op 2 errs.
         let mut pipe = VlsaPipeline::new(adder(8, 3));
-        let trace = pipe.run(&[(1, 2), (0x7F, 1), (2, 4)]);
+        let ops = [(1, 2), (0x7F, 1), (2, 4)];
+        let trace = pipe.run(&ops);
         assert_eq!(trace.errors, 1);
-        assert_eq!(trace.total_cycles(), 4);
-        let valids: Vec<bool> = trace.records.iter().map(|r| r.valid).collect();
-        assert_eq!(valids, vec![true, false, true, true]);
-        let diagram = trace.render_timing_diagram(10);
+        assert_eq!(trace.total_cycles, 4);
+        let diagram = pipe.timing_diagram(&ops, 10);
         assert!(diagram.contains("S2*"), "{diagram}");
+        assert!(
+            diagram.contains("valid |      1      0      1      1"),
+            "{diagram}"
+        );
         assert!(
             diagram.contains("stall |      0      1      0      0"),
             "{diagram}"
         );
+        // The diagram stops at `max_cycles`.
+        let short = pipe.timing_diagram(&ops, 2);
+        assert!(short.starts_with("cycle |      1      2\n"), "{short}");
     }
 
     #[test]
@@ -578,7 +558,7 @@ mod tests {
         // The observer changes nothing about the trace itself (ops 2
         // and 3 both carry long propagate runs and stall).
         assert_eq!(trace.errors, 2);
-        assert_eq!(trace.total_cycles(), 5);
+        assert_eq!(trace.total_cycles, 5);
     }
 
     #[test]

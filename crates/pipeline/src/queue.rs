@@ -11,6 +11,11 @@ use crate::VlsaPipeline;
 use rand::Rng;
 use std::collections::VecDeque;
 use std::fmt;
+use vlsa_batch::{OpVerdict, ScalarExecutor};
+use vlsa_core::AddTally;
+use vlsa_telemetry::names::pipeline as metric;
+use vlsa_telemetry::DEFAULT_BUCKETS;
+use vlsa_trace::TraceEvent;
 
 /// Invalid [`QueueConfig`] geometry.
 ///
@@ -201,23 +206,20 @@ impl VlsaPipeline {
         // Resolve instrument handles once; the per-cycle path then pays
         // only atomic updates.
         let wait_hist = vlsa_telemetry::is_enabled().then(|| {
-            vlsa_telemetry::recorder().histogram(
-                "vlsa.pipeline.queue_wait_cycles",
-                vlsa_telemetry::DEFAULT_BUCKETS,
-            )
+            vlsa_telemetry::recorder().histogram(metric::QUEUE_WAIT_CYCLES, DEFAULT_BUCKETS)
         });
         let spans = vlsa_trace::recorder();
         let mut last_depth = u64::MAX; // force an initial queue_depth sample
-        let mut pending_exact = 0u64; // exact sum of the op in recovery
         let mut stats = QueueStats {
             cycles,
             ..QueueStats::default()
         };
+        let oracle = ScalarExecutor::new(self.adder().nbits(), self.adder().window());
+        let mut adds = AddTally::default();
         // Queue of (a, b, arrival_cycle).
         let mut queue: VecDeque<(u64, u64, u64)> = VecDeque::new();
-        // Remaining recovery for the op at the head (0 = fresh).
-        let mut recovering = false;
-        let adder = *self.adder();
+        // The head op's verdict and first service cycle, once it issues.
+        let mut head: Option<(OpVerdict, u64)> = None;
         for cycle in 0..cycles {
             // Arrival at the start of the cycle.
             if rng.gen_bool(config.arrival_prob) {
@@ -228,80 +230,46 @@ impl VlsaPipeline {
                 } else {
                     stats.dropped += 1;
                     if let Some(rec) = &spans {
-                        rec.record(
-                            vlsa_trace::TraceEvent::instant("drop", "queue", cycle).on_track(2),
-                        );
+                        rec.record(TraceEvent::instant("drop", "queue", cycle).on_track(2));
                     }
                 }
             }
-            // Service.
+            // Service: the head op holds the adder for `1 + ER` cycles.
             if let Some(&(a, b, arrived)) = queue.front() {
-                if recovering {
-                    // Recovery cycle completes the op.
-                    recovering = false;
+                let (v, issued) = *head.get_or_insert_with(|| {
+                    let v = oracle.verdict(a, b);
+                    adds.count(v.er, v.spec == v.exact);
+                    if let (true, Some(rec)) = (v.er, &spans) {
+                        rec.record(TraceEvent::instant("detect", "queue", cycle).on_track(1));
+                    }
+                    (v, cycle)
+                });
+                if cycle - issued == u64::from(v.er) {
+                    head = None;
                     queue.pop_front();
+                    let wait = cycle - arrived + 1;
                     stats.completed += 1;
-                    stats.total_wait_cycles += cycle - arrived + 1;
-                    stats.recovery_cycles += 1;
+                    stats.total_wait_cycles += wait;
+                    stats.recovery_cycles += u64::from(v.er);
                     if let Some(hist) = &wait_hist {
-                        hist.record(cycle - arrived + 1);
+                        hist.record(wait);
                     }
                     if let Some(rec) = &spans {
                         rec.record(
-                            vlsa_trace::TraceEvent::complete(
-                                "op",
-                                "queue",
-                                arrived,
-                                cycle - arrived + 1,
-                            )
-                            .arg("i", stats.completed - 1)
-                            .arg("a", a)
-                            .arg("b", b)
-                            .arg("sum", pending_exact)
-                            .arg("err", 1)
-                            .arg("qd", queue.len() as u64),
-                        );
-                        rec.record(
-                            vlsa_trace::TraceEvent::complete("recover", "queue", cycle, 1)
-                                .on_track(1),
-                        );
-                        rec.record(
-                            vlsa_trace::TraceEvent::complete("stall", "queue", cycle, 1)
-                                .on_track(2),
-                        );
-                    }
-                } else {
-                    let r = adder.add_u64(a, b);
-                    if r.error_detected {
-                        recovering = true; // stays at head one more cycle
-                        pending_exact = r.exact;
-                        if let Some(rec) = &spans {
-                            rec.record(
-                                vlsa_trace::TraceEvent::instant("detect", "queue", cycle)
-                                    .on_track(1),
-                            );
-                        }
-                    } else {
-                        queue.pop_front();
-                        stats.completed += 1;
-                        stats.total_wait_cycles += cycle - arrived + 1;
-                        if let Some(hist) = &wait_hist {
-                            hist.record(cycle - arrived + 1);
-                        }
-                        if let Some(rec) = &spans {
-                            rec.record(
-                                vlsa_trace::TraceEvent::complete(
-                                    "op",
-                                    "queue",
-                                    arrived,
-                                    cycle - arrived + 1,
-                                )
+                            TraceEvent::complete("op", "queue", arrived, wait)
                                 .arg("i", stats.completed - 1)
                                 .arg("a", a)
                                 .arg("b", b)
-                                .arg("sum", r.speculative)
-                                .arg("err", 0)
+                                .arg("sum", if v.er { v.exact } else { v.spec })
+                                .arg("err", u64::from(v.er))
                                 .arg("qd", queue.len() as u64),
+                        );
+                        if v.er {
+                            rec.record(
+                                TraceEvent::complete("recover", "queue", cycle, 1).on_track(1),
+                            );
+                            rec.record(
+                                TraceEvent::complete("stall", "queue", cycle, 1).on_track(2),
                             );
                         }
                     }
@@ -314,32 +282,28 @@ impl VlsaPipeline {
                 if depth != last_depth {
                     last_depth = depth;
                     rec.record(
-                        vlsa_trace::TraceEvent::counter("queue_depth", "queue", cycle, depth)
-                            .on_track(3),
+                        TraceEvent::counter("queue_depth", "queue", cycle, depth).on_track(3),
                     );
                 }
             }
         }
         if wait_hist.is_some() {
             let recorder = vlsa_telemetry::recorder();
+            recorder.counter(metric::QUEUE_ARRIVALS).add(stats.arrivals);
             recorder
-                .counter("vlsa.pipeline.queue_arrivals")
-                .add(stats.arrivals);
-            recorder
-                .counter("vlsa.pipeline.queue_completed")
+                .counter(metric::QUEUE_COMPLETED)
                 .add(stats.completed);
+            recorder.counter(metric::QUEUE_DROPPED).add(stats.dropped);
             recorder
-                .counter("vlsa.pipeline.queue_dropped")
-                .add(stats.dropped);
-            recorder
-                .counter("vlsa.pipeline.queue_recovery_cycles")
+                .counter(metric::QUEUE_RECOVERY_CYCLES)
                 .add(stats.recovery_cycles);
             recorder
-                .gauge("vlsa.pipeline.queue_mean_len")
+                .gauge(metric::QUEUE_MEAN_LEN)
                 .set(stats.mean_queue_len());
             recorder
-                .gauge("vlsa.pipeline.queue_max_len")
+                .gauge(metric::QUEUE_MAX_LEN)
                 .set_max(stats.max_queue_len as f64);
+            adds.record();
         }
         Ok(stats)
     }

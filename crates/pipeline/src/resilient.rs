@@ -1,11 +1,14 @@
-//! The resilience layer: residue checking, bounded retry, escalation to
-//! an exact adder, and graceful degradation.
+//! The crate's one per-op VLSA state machine, with residue checking,
+//! bounded retry, escalation to an exact adder, and graceful
+//! degradation.
 //!
-//! [`crate::VlsaPipeline`] models the paper's fault-free handshake: the
-//! `ER` detector is the *only* line of defense, and a transient fault
-//! that suppresses it turns a wrong speculative sum into silent data
-//! corruption (`VALID = 1`, sum wrong). [`ResilientPipeline`] hardens
-//! that design:
+//! With no fault and no residue check, [`ResilientPipeline`] is the
+//! paper's handshake — one cycle per op, one more when `ER` fires —
+//! and [`crate::VlsaPipeline`] is a streaming view of exactly that. In
+//! the paper's design the `ER` detector is the *only* line of defense,
+//! and a transient fault that suppresses it turns a wrong speculative
+//! sum into silent data corruption (`VALID = 1`, sum wrong).
+//! [`ResilientPipeline`] hardens that design:
 //!
 //! - **Behavioral fault injection** ([`PipelineFault`]): stuck or
 //!   transient faults on the detector (`ER` suppressed or forced) and
@@ -38,7 +41,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use vlsa_batch::{BatchExecutor, ScalarExecutor};
+use vlsa_batch::{BatchExecutor, OpVerdict, ScalarExecutor};
 use vlsa_core::{ResidueChecker, SpeculativeAdder};
 use vlsa_telemetry::names::resilience as metric;
 use vlsa_trace::{names as span, TraceEvent};
@@ -224,8 +227,9 @@ pub struct BatchTrace {
     pub stats: ResilientStats,
 }
 
-/// A [`crate::VlsaPipeline`]-shaped driver with fault injection, residue
-/// checking, retry/escalate policy, and graceful degradation.
+/// The VLSA pipeline's per-op state machine, with fault injection,
+/// residue checking, retry/escalate policy, and graceful degradation.
+/// [`crate::VlsaPipeline`] is a fault-free, residue-free view of it.
 ///
 /// Degradation state is sticky across [`ResilientPipeline::run`] calls
 /// (the cycle counter and escalation history persist), so a stream can
@@ -365,11 +369,12 @@ impl ResilientPipeline {
 
     /// Feeds a batch of operand pairs through the resilient pipeline,
     /// keeping per-op detail: sum, stall flag, exact-path flag, and
-    /// cycle cost. Operands are truncated to the adder width. This is
-    /// the pipeline's one per-op state machine: [`ResilientPipeline::run`]
-    /// (campaigns, benches, `trace --resilient`) calls it with a
-    /// [`ScalarExecutor`], and the server calls it with the executor of
-    /// its `--backend`.
+    /// cycle cost. Operands are truncated to the adder width. This
+    /// drives the pipeline's one per-op state machine:
+    /// [`ResilientPipeline::run`] (campaigns, benches, `trace
+    /// --resilient`) calls it with a [`ScalarExecutor`], the server calls
+    /// it with the executor of its `--backend`, and
+    /// [`crate::VlsaPipeline`] replays the same machine chunk by chunk.
     ///
     /// The executor pre-computes every op's speculative sum, exact sum,
     /// `ER` flag, and carry-outs in one pass; this method then replays
@@ -421,20 +426,49 @@ impl ResilientPipeline {
             self.adder.window(),
             "executor window must match the adder"
         );
+        let verdicts = executor.execute(operands);
+        let batch = self.replay(operands, &verdicts);
+        if vlsa_telemetry::is_enabled() {
+            let stats = &batch.stats;
+            let rec = vlsa_telemetry::recorder();
+            rec.counter(metric::OPS).add(stats.ops);
+            rec.counter(metric::RESIDUE_CHECKS)
+                .add(stats.residue_checks);
+            rec.counter(metric::RESIDUE_MISMATCHES)
+                .add(stats.residue_mismatches);
+            rec.counter(metric::RETRIES).add(stats.retries);
+            rec.counter(metric::ESCALATIONS).add(stats.escalations);
+            rec.counter(metric::WATCHDOG_TRIPS)
+                .add(stats.watchdog_trips);
+            rec.counter(metric::DEGRADE_TRANSITIONS)
+                .add(stats.degrade_transitions);
+            rec.counter(metric::DEGRADED_OPS).add(stats.degraded_ops);
+            rec.counter(metric::SILENT_CORRUPTIONS)
+                .add(stats.silent_corruptions);
+        }
+        batch
+    }
+
+    /// The per-op state machine behind [`ResilientPipeline::run_batch_on`]:
+    /// replays one executor verdict per operand pair (see there for the
+    /// spans it emits) and returns the outcomes, without touching the
+    /// `vlsa.resilience.*` counters. State carries across calls, so
+    /// replaying a stream chunk by chunk matches one replay of the whole.
+    #[inline(always)]
+    pub(crate) fn replay(&mut self, operands: &[(u64, u64)], verdicts: &[OpVerdict]) -> BatchTrace {
+        debug_assert_eq!(verdicts.len(), operands.len());
+        let nbits = self.adder.nbits();
         let mask = if nbits == 64 {
             u64::MAX
         } else {
             (1u64 << nbits) - 1
         };
-        let telemetry_on = vlsa_telemetry::is_enabled();
         let spans = vlsa_trace::recorder();
         let run_start = self.cycle;
         let mut stats = ResilientStats::default();
         let mut out = Vec::with_capacity(operands.len());
-        let verdicts = executor.execute(operands);
-        debug_assert_eq!(verdicts.len(), operands.len());
 
-        for (&(a, b), verdict) in operands.iter().zip(&verdicts) {
+        for (&(a, b), verdict) in operands.iter().zip(verdicts) {
             let (a, b) = (a & mask, b & mask);
             let i = self.op_index;
             self.op_index += 1;
@@ -660,23 +694,6 @@ impl ResilientPipeline {
         }
 
         stats.cycles = self.cycle - run_start;
-        if telemetry_on {
-            let rec = vlsa_telemetry::recorder();
-            rec.counter(metric::OPS).add(stats.ops);
-            rec.counter(metric::RESIDUE_CHECKS)
-                .add(stats.residue_checks);
-            rec.counter(metric::RESIDUE_MISMATCHES)
-                .add(stats.residue_mismatches);
-            rec.counter(metric::RETRIES).add(stats.retries);
-            rec.counter(metric::ESCALATIONS).add(stats.escalations);
-            rec.counter(metric::WATCHDOG_TRIPS)
-                .add(stats.watchdog_trips);
-            rec.counter(metric::DEGRADE_TRANSITIONS)
-                .add(stats.degrade_transitions);
-            rec.counter(metric::DEGRADED_OPS).add(stats.degraded_ops);
-            rec.counter(metric::SILENT_CORRUPTIONS)
-                .add(stats.silent_corruptions);
-        }
         BatchTrace {
             outcomes: out,
             stats,

@@ -110,6 +110,7 @@ mod tests {
     use crate::SeqSim;
     use rand::SeedableRng;
     use std::collections::HashMap;
+    use vlsa_batch::ScalarExecutor;
     use vlsa_core::SpeculativeAdder;
     use vlsa_pipeline::VlsaPipeline;
 
@@ -164,12 +165,21 @@ mod tests {
         let ops = vlsa_pipeline::random_operands(nbits, 300, &mut rng);
 
         let gate = drive(&circuit, nbits, &ops);
-        let trace = VlsaPipeline::new(adder).run(&ops);
-        assert_eq!(gate.len(), trace.records.len(), "cycle counts differ");
-        for (cycle, (g, r)) in gate.iter().zip(&trace.records).enumerate() {
-            assert_eq!(g.0, r.sum, "sum @ cycle {cycle}");
-            assert_eq!(g.1, r.valid, "valid @ cycle {cycle}");
-            assert_eq!(g.2, r.stall, "stall @ cycle {cycle}");
+        // Per-cycle expectations from the verdicts and the pipeline's
+        // outcomes: a stalled op shows its speculative sum with VALID
+        // low and STALL high, then the corrected sum.
+        let oracle = ScalarExecutor::new(nbits, window);
+        let mut expected = Vec::new();
+        let trace = VlsaPipeline::new(adder).run_observed(&ops, |s| {
+            if s.stalled {
+                expected.push((oracle.verdict(s.a, s.b).spec, false, true));
+            }
+            expected.push((s.sum, true, false));
+        });
+        assert_eq!(gate.len() as u64, trace.total_cycles, "cycle counts differ");
+        assert_eq!(gate.len(), expected.len());
+        for (cycle, (g, e)) in gate.iter().zip(&expected).enumerate() {
+            assert_eq!(g, e, "(sum, valid, stall) @ cycle {cycle}");
         }
         assert!(trace.errors > 0, "window 4 should err in 300 ops");
     }

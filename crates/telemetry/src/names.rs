@@ -19,8 +19,10 @@ pub mod core {
     pub const FALSE_POSITIVES: &str = "vlsa.core.false_positives";
 }
 
-/// `vlsa.pipeline.*` — the variable-latency pipeline's speculation and
-/// stall accounting (`vlsa_pipeline::VlsaPipeline::run`).
+/// `vlsa.pipeline.*` — the variable-latency pipeline's stall
+/// accounting (`vlsa_pipeline::VlsaPipeline::run` and `run_observed`)
+/// and its issue-queue model (`VlsaPipeline::run_queued` and
+/// `run_queued_ops`, the `queue_*` names).
 pub mod pipeline {
     /// Operand pairs fed through the pipeline.
     pub const OPS: &str = "vlsa.pipeline.ops";
@@ -30,6 +32,20 @@ pub mod pipeline {
     pub const OP_LATENCY_CYCLES: &str = "vlsa.pipeline.op_latency_cycles";
     /// Lengths of runs of consecutive stalled operations.
     pub const STALL_RUN_OPS: &str = "vlsa.pipeline.stall_run_ops";
+    /// Operand pairs that arrived at the issue queue.
+    pub const QUEUE_ARRIVALS: &str = "vlsa.pipeline.queue_arrivals";
+    /// Queued operations completed (`VALID` results delivered).
+    pub const QUEUE_COMPLETED: &str = "vlsa.pipeline.queue_completed";
+    /// Arrivals dropped because the queue was full.
+    pub const QUEUE_DROPPED: &str = "vlsa.pipeline.queue_dropped";
+    /// Recovery (stall) cycles taken behind the queue.
+    pub const QUEUE_RECOVERY_CYCLES: &str = "vlsa.pipeline.queue_recovery_cycles";
+    /// Per-op cycles from arrival to completed result.
+    pub const QUEUE_WAIT_CYCLES: &str = "vlsa.pipeline.queue_wait_cycles";
+    /// Mean queue occupancy of the last queued run (gauge).
+    pub const QUEUE_MEAN_LEN: &str = "vlsa.pipeline.queue_mean_len";
+    /// Largest queue occupancy seen (gauge).
+    pub const QUEUE_MAX_LEN: &str = "vlsa.pipeline.queue_max_len";
 }
 
 /// `vlsa.monitor.*` — the live conformance monitor
@@ -310,6 +326,8 @@ mod tests {
             super::core::DETECTOR_FIRES,
             super::pipeline::OPS,
             super::pipeline::OP_LATENCY_CYCLES,
+            super::pipeline::QUEUE_WAIT_CYCLES,
+            super::pipeline::QUEUE_MAX_LEN,
             super::monitor::WINDOWS,
             super::monitor::ALERTS,
             super::monitor::CHI2_P,

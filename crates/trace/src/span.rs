@@ -18,13 +18,15 @@ pub const MAX_ARGS: usize = 6;
 /// Well-known span names the workspace's instrumented code emits, so
 /// exporters, tests, and trace consumers agree on spellings.
 ///
-/// The pipeline emits [`names::OP`] / [`names::SPECULATE`] /
-/// [`names::DETECT`] / [`names::RECOVER`] / [`names::STALL`]
-/// (category `"pipeline"` or `"queue"`); the resilience layer adds
-/// [`names::RESIDUE_RETRY`] / [`names::ESCALATE`] /
-/// [`names::WATCHDOG`] / [`names::DEGRADE`] / [`names::EXACT_OP`]
-/// (category `"resilience"`); the conformance monitor adds
-/// [`names::WINDOW`] / [`names::ALERT`] (category `"monitor"`).
+/// The pipeline's per-op state machine emits [`names::OP`] /
+/// [`names::SPECULATE`] / [`names::DETECT`] / [`names::RECOVER`] /
+/// [`names::STALL`] plus, under faults, [`names::RESIDUE_RETRY`] /
+/// [`names::ESCALATE`] / [`names::WATCHDOG`] / [`names::DEGRADE`] /
+/// [`names::EXACT_OP`], all in category `"resilience"` (the plain
+/// `VlsaPipeline` is a view over that machine); the issue-queue model
+/// emits the per-op names in category `"queue"`; the conformance
+/// monitor adds [`names::WINDOW`] / [`names::ALERT`] (category
+/// `"monitor"`).
 pub mod names {
     /// One completed operation (the replay source).
     pub const OP: &str = "op";

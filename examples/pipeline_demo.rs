@@ -13,10 +13,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut pipe = VlsaPipeline::new(adder);
 
     // Paper Fig. 7: three operand pairs, the middle one errs.
-    let trace = pipe.run(&[(0x0012, 0x0034), (0x7FFF, 0x0001), (0x0100, 0x0200)]);
+    let fig7 = [(0x0012, 0x0034), (0x7FFF, 0x0001), (0x0100, 0x0200)];
     println!("Fig. 7 timing diagram (op 2 triggers recovery):\n");
-    print!("{}", trace.render_timing_diagram(8));
-    println!("\n{trace}\n");
+    print!("{}", pipe.timing_diagram(&fig7, 8));
+    println!("\n{}\n", pipe.run(&fig7));
 
     // Realistic design point on a long random stream.
     let adder = SpeculativeAdder::for_accuracy(64, 0.9999)?;
